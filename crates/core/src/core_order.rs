@@ -8,6 +8,8 @@
 //! The flattened structure holds `Σ_v deg(v) = 2m` entries total, matching
 //! GS*-Index's `O(m)` space bound. Like the neighbor order, it can be
 //! built with one global integer sort (Thm 4.2) or comparison sorts.
+//! After a batch update, `CoreOrder::update` derives the new order from
+//! the old one by a per-μ merge, with no global sort.
 
 use crate::index::SortStrategy;
 use crate::neighbor_order::NeighborOrder;
@@ -17,6 +19,7 @@ use parscan_parallel::primitives::{par_for, par_map};
 use parscan_parallel::radix::par_radix_sort_by_key;
 use parscan_parallel::sort::par_sort_unstable_by;
 use parscan_parallel::utils::SyncMutPtr;
+use std::cmp::Reverse;
 
 /// Core order: concatenated `CO[μ]` lists for `μ ∈ [2, max_mu]`.
 #[derive(Clone, Debug)]
@@ -51,11 +54,7 @@ impl CoreOrder {
         let n = g.num_vertices();
         let max_mu = g.max_degree() as u32 + 1; // closed degree
         if max_mu < 2 {
-            return CoreOrder {
-                mu_offsets: vec![0],
-                vertices: Vec::new(),
-                thresholds: Vec::new(),
-            };
+            return Self::empty();
         }
 
         // Emit one entry per (v, μ) pair, μ ∈ [2, deg(v) + 1]; vertex-major
@@ -121,6 +120,121 @@ impl CoreOrder {
         });
         let vertices = par_map(total, 8192, |i| entries[i].v);
         let thresholds = par_map(total, 8192, |i| entries[i].threshold);
+        CoreOrder {
+            mu_offsets,
+            vertices,
+            thresholds,
+        }
+    }
+
+    /// The core order of an edgeless graph.
+    fn empty() -> Self {
+        CoreOrder {
+            mu_offsets: vec![0],
+            vertices: Vec::new(),
+            thresholds: Vec::new(),
+        }
+    }
+
+    /// Derive the core order of `new_g` from this order of `old_g` after a
+    /// batch update ([`crate::dynamic`]), without a global sort. A vertex
+    /// outside `dirty` keeps its degree and its `NO` segment, hence every
+    /// one of its `(μ, threshold)` entries. So each new `CO[μ]` is the old
+    /// one with the dirty vertices filtered out, merged with their fresh
+    /// entries from `new_no`; the merges run in parallel over μ. The order
+    /// is the radix key of [`Self::build`] (threshold bits descending, id
+    /// ascending), so the result is bitwise identical to a full build.
+    ///
+    /// `dirty_list` holds exactly the vertices flagged in `dirty`.
+    pub(crate) fn update(
+        &self,
+        old_g: &CsrGraph,
+        new_g: &CsrGraph,
+        new_no: &NeighborOrder,
+        dirty: &[bool],
+        dirty_list: &[VertexId],
+    ) -> Self {
+        let max_mu = new_g.max_degree() as u32 + 1;
+        if max_mu < 2 {
+            return Self::empty();
+        }
+        let n_mus = (max_mu - 1) as usize; // μ = 2 ..= max_mu
+
+        let mut fresh: Vec<Entry> = dirty_list
+            .iter()
+            .flat_map(|&v| {
+                (2..=new_g.degree(v) as u32 + 1).map(move |mu| Entry {
+                    mu,
+                    threshold: new_no
+                        .core_threshold(new_g, v, mu)
+                        .expect("mu within closed degree"),
+                    v,
+                })
+            })
+            .collect();
+        fresh.sort_unstable_by_key(|e| (e.mu, Reverse(e.threshold.to_bits()), e.v));
+        // fresh[fresh_offsets[i] .. fresh_offsets[i + 1]] are CO[i + 2]'s.
+        let fresh_offsets: Vec<usize> = (0..=n_mus)
+            .map(|i| fresh.partition_point(|e| (e.mu as usize) < i + 2))
+            .collect();
+
+        // New sizes: old size, minus the dirty vertices' old entries, plus
+        // their fresh ones. Old entries above the new max μ all belong to
+        // dirty vertices (their degree fell), so they vanish with CO[μ].
+        let mut counts: Vec<usize> = (0..n_mus)
+            .map(|i| {
+                let old = self
+                    .mu_offsets
+                    .get(i + 1)
+                    .map_or(0, |&e| e - self.mu_offsets[i]);
+                old + fresh_offsets[i + 1] - fresh_offsets[i]
+            })
+            .collect();
+        for &v in dirty_list {
+            for count in &mut counts[..old_g.degree(v).min(n_mus)] {
+                *count -= 1;
+            }
+        }
+        let (mut mu_offsets, total) = exclusive_scan_usize(&counts);
+        mu_offsets.push(total);
+        debug_assert_eq!(total, new_g.num_slots());
+
+        let mut vertices = vec![0 as VertexId; total];
+        let mut thresholds = vec![0f32; total];
+        let v_ptr = SyncMutPtr::new(&mut vertices);
+        let t_ptr = SyncMutPtr::new(&mut thresholds);
+        par_for(n_mus, 1, |i| {
+            let out = mu_offsets[i]..mu_offsets[i + 1];
+            // SAFETY: per-μ output ranges are disjoint.
+            let (out_v, out_t) = unsafe {
+                (
+                    v_ptr.slice_mut(out.start, out.len()),
+                    t_ptr.slice_mut(out.start, out.len()),
+                )
+            };
+            let (old_v, old_t) = self.candidates(i as u32 + 2);
+            let mut fresh = fresh[fresh_offsets[i]..fresh_offsets[i + 1]]
+                .iter()
+                .peekable();
+            let mut k = 0;
+            for (&v, &t) in old_v.iter().zip(old_t) {
+                if dirty[v as usize] {
+                    continue;
+                }
+                let key = (Reverse(t.to_bits()), v);
+                while let Some(e) = fresh.next_if(|e| (Reverse(e.threshold.to_bits()), e.v) < key) {
+                    (out_v[k], out_t[k]) = (e.v, e.threshold);
+                    k += 1;
+                }
+                (out_v[k], out_t[k]) = (v, t);
+                k += 1;
+            }
+            for e in fresh {
+                (out_v[k], out_t[k]) = (e.v, e.threshold);
+                k += 1;
+            }
+            debug_assert_eq!(k, out.len());
+        });
         CoreOrder {
             mu_offsets,
             vertices,

@@ -14,10 +14,19 @@
 //! 2. recomputes similarities only for edges touching `S` (per-edge
 //!    sorted merges, in parallel), copying every other score from the old
 //!    index, and
-//! 3. rebuilds the neighbor/core orders (integer sort, the cheap phase).
+//! 3. derives the neighbor order, core order and ε-breakpoint table from
+//!    the old ones. Only the *dirty* set `D` — `S` plus its neighbors,
+//!    the only vertices with a slot whose score can change, appear or
+//!    disappear — is re-sorted: every other vertex's `NO`
+//!    segment is copied to its new slot range, each `CO[μ]` is the old
+//!    list with `D` filtered out merged with `D`'s fresh entries, and
+//!    the breakpoint table drops the old values no slot holds any more
+//!    and merges in the new ones. Ties break exactly as the radix sorts
+//!    of a full build do, so the result is bitwise identical to one.
 //!
 //! For small batches this skips the dominant `O(αm)` similarity phase
-//! almost entirely.
+//! almost entirely, and one update costs `O(m)` copying plus sorting
+//! `D` — no global sort.
 //!
 //! The serving layer consumes the richer [`apply_batch_diff`] entry
 //! point, which additionally reports **how high the damage reaches**:
@@ -28,7 +37,7 @@
 //! ε-class entirely above that bound is provably still correct and can
 //! survive the update (see `parscan-server`'s engine).
 
-use crate::index::{ScanIndex, SortStrategy};
+use crate::index::ScanIndex;
 use crate::similarity_exact::{open_intersection_value, EdgeSimilarities};
 use parscan_graph::{CsrGraph, VertexId};
 use parscan_parallel::primitives::{par_for, par_map};
@@ -174,7 +183,7 @@ fn effective_batch(graph: &CsrGraph, batch: &BatchUpdate) -> EffectiveBatch {
 /// Apply a batch of updates to an index, recomputing only affected
 /// similarities. Returns the updated index (the old one is consumed).
 /// An effectively empty batch returns the original index untouched —
-/// no graph splice, no similarity pass, no order rebuild.
+/// no graph splice, no similarity pass, no order update.
 pub fn apply_batch(index: ScanIndex, batch: &BatchUpdate) -> ScanIndex {
     match apply_batch_diff(&index, batch) {
         Some(outcome) => outcome.index,
@@ -220,13 +229,25 @@ pub fn apply_batch_diff(index: &ScanIndex, batch: &BatchUpdate) -> Option<ApplyO
     }
 
     let sims = incremental_similarities(old_graph, old_sims, &new_graph, &touched, measure);
-    let (max_affected_similarity, changed_edges) =
-        affected_ceiling(old_graph, old_sims, &new_graph, &sims);
-    let index = ScanIndex::from_similarities(new_graph, sims, measure, SortStrategy::Integer);
+    let (dirty, dirty_list) = dirty_set(&new_graph, &touched);
+    let affected = affected_walk(old_graph, old_sims, &new_graph, &sims, &dirty_list);
+    let sims = EdgeSimilarities::from_per_slot_updating_breakpoints(
+        sims,
+        old_sims.breakpoints(),
+        &affected.old_scores,
+        &affected.new_scores,
+    );
+    let no = index
+        .neighbor_order()
+        .update(old_graph, &new_graph, &sims, &dirty);
+    let co = index
+        .core_order()
+        .update(old_graph, &new_graph, &no, &dirty, &dirty_list);
+    let index = ScanIndex::from_existing_parts(new_graph, sims, no, co, measure);
     Some(ApplyOutcome {
         index,
-        max_affected_similarity,
-        changed_edges,
+        max_affected_similarity: affected.ceiling,
+        changed_edges: affected.changed,
         inserted: eff.inserted,
         deleted: eff.deletions.len(),
         reweighted: eff.reweighted,
@@ -234,14 +255,14 @@ pub fn apply_batch_diff(index: &ScanIndex, batch: &BatchUpdate) -> Option<ApplyO
 }
 
 /// Recompute similarities for edges incident to `touched` vertices; copy
-/// all other scores from the old index.
+/// all other scores from the old index. Returns the per-slot scores.
 fn incremental_similarities(
     old_graph: &CsrGraph,
     old_sims: &EdgeSimilarities,
     new_graph: &CsrGraph,
     touched: &[bool],
     measure: crate::similarity::SimilarityMeasure,
-) -> EdgeSimilarities {
+) -> Vec<f32> {
     let n = new_graph.num_vertices();
     let norms: Option<Vec<f64>> = new_graph
         .is_weighted()
@@ -296,81 +317,98 @@ fn incremental_similarities(
             }
         }
     });
-    EdgeSimilarities::from_per_slot(sims)
+    sims
 }
 
-/// Compare old and new per-edge similarities and report `(θ, changed)`:
-/// the maximum of `max(σ_old, σ_new)` over changed edges — the ceiling
-/// below which clusterings may differ — and how many canonical edges
-/// changed. Edges copied by the incremental pass compare bitwise equal
-/// and contribute nothing, so the merge is cheap: one forward walk over
-/// both adjacency arrays.
-fn affected_ceiling(
+/// The dirty set D of an update: the touched vertices plus their
+/// neighbors, as flags and as an ascending list. Every slot whose score
+/// can change, appear or disappear is incident to a touched vertex, so
+/// both of its endpoints lie in D. New neighbors suffice: an old
+/// neighbor missing from the new list is a deletion partner, touched
+/// itself. A vertex outside D keeps its neighbor list and every incident
+/// score bitwise, so its neighbor-order segment and core-order entries
+/// carry over unchanged.
+fn dirty_set(new_graph: &CsrGraph, touched: &[bool]) -> (Vec<bool>, Vec<VertexId>) {
+    let mut dirty = vec![false; touched.len()];
+    let mut list = Vec::new();
+    for u in (0..touched.len() as VertexId).filter(|&u| touched[u as usize]) {
+        for &v in std::iter::once(&u).chain(new_graph.neighbors(u)) {
+            if !dirty[v as usize] {
+                dirty[v as usize] = true;
+                list.push(v);
+            }
+        }
+    }
+    list.sort_unstable();
+    (dirty, list)
+}
+
+/// What the update did to the per-edge scores, from [`affected_walk`].
+struct Affected {
+    /// θ: the maximum of `max(σ_old, σ_new)` over changed edges — the
+    /// ceiling below which clusterings may differ (`None` if none changed).
+    ceiling: Option<f32>,
+    /// Canonical edges whose score changed, appeared or disappeared.
+    changed: usize,
+    /// Old scores of changed or deleted edges.
+    old_scores: Vec<f32>,
+    /// New scores of changed or inserted edges.
+    new_scores: Vec<f32>,
+}
+
+/// Walk the old and new adjacency of every dirty vertex in lockstep and
+/// collect each changed canonical edge once, from its smaller endpoint.
+/// Both endpoints of a changed edge are dirty (see [`dirty_set`]), and
+/// every other slot was copied bitwise, so the walk over D alone sees
+/// every change the whole graph holds.
+fn affected_walk(
     old_graph: &CsrGraph,
     old_sims: &EdgeSimilarities,
     new_graph: &CsrGraph,
-    new_sims: &EdgeSimilarities,
-) -> (Option<f32>, usize) {
-    let n = new_graph.num_vertices();
-    let per_vertex: Vec<(f32, usize)> = par_map(n, 64, |a| {
-        let a = a as VertexId;
-        let old_range = old_graph.slot_range(a);
-        let new_range = new_graph.slot_range(a);
-        let (mut i, mut j) = (old_range.start, new_range.start);
-        let mut ceiling = f32::NEG_INFINITY;
-        let mut changed = 0usize;
-        while i < old_range.end && j < new_range.end {
-            let ob = old_graph.slot_neighbor(i);
-            let nb = new_graph.slot_neighbor(j);
-            if ob == nb {
-                if ob > a {
-                    let (o, s) = (old_sims.slot(i), new_sims.slot(j));
-                    if o != s {
-                        ceiling = ceiling.max(o.max(s));
-                        changed += 1;
-                    }
-                }
-                i += 1;
-                j += 1;
-            } else if ob < nb {
-                if ob > a {
-                    // Deleted edge: its old score is the reach of its loss.
-                    ceiling = ceiling.max(old_sims.slot(i));
-                    changed += 1;
-                }
-                i += 1;
-            } else {
-                if nb > a {
-                    // Inserted edge: its new score is the reach of its gain.
-                    ceiling = ceiling.max(new_sims.slot(j));
-                    changed += 1;
-                }
-                j += 1;
+    new_sims: &[f32],
+    dirty_list: &[VertexId],
+) -> Affected {
+    let per_vertex: Vec<(Vec<f32>, Vec<f32>, usize)> = par_map(dirty_list.len(), 64, |i| {
+        let a = dirty_list[i];
+        let (mut olds, mut news, mut changed) = (Vec::new(), Vec::new(), 0usize);
+        let (old_nbrs, new_nbrs) = (old_graph.neighbors(a), new_graph.neighbors(a));
+        let (old_base, new_base) = (old_graph.slot_range(a).start, new_graph.slot_range(a).start);
+        let (mut i, mut j) = (0, 0);
+        while i < old_nbrs.len() || j < new_nbrs.len() {
+            let ob = old_nbrs.get(i).copied().unwrap_or(VertexId::MAX);
+            let nb = new_nbrs.get(j).copied().unwrap_or(VertexId::MAX);
+            let b = ob.min(nb);
+            let old = (ob == b).then(|| old_sims.slot(old_base + i));
+            let new = (nb == b).then(|| new_sims[new_base + j]);
+            i += old.is_some() as usize;
+            j += new.is_some() as usize;
+            if b <= a || old.map(f32::to_bits) == new.map(f32::to_bits) {
+                continue;
             }
+            changed += 1;
+            olds.extend(old);
+            news.extend(new);
         }
-        while i < old_range.end {
-            if old_graph.slot_neighbor(i) > a {
-                ceiling = ceiling.max(old_sims.slot(i));
-                changed += 1;
-            }
-            i += 1;
-        }
-        while j < new_range.end {
-            if new_graph.slot_neighbor(j) > a {
-                ceiling = ceiling.max(new_sims.slot(j));
-                changed += 1;
-            }
-            j += 1;
-        }
-        (ceiling, changed)
+        (olds, news, changed)
     });
-    let mut ceiling = f32::NEG_INFINITY;
-    let mut changed = 0usize;
-    for &(c, k) in &per_vertex {
-        ceiling = ceiling.max(c);
-        changed += k;
+    let mut affected = Affected {
+        ceiling: None,
+        changed: 0,
+        old_scores: Vec::new(),
+        new_scores: Vec::new(),
+    };
+    for (olds, news, changed) in per_vertex {
+        affected.changed += changed;
+        affected.old_scores.extend(olds);
+        affected.new_scores.extend(news);
     }
-    ((changed > 0).then_some(ceiling), changed)
+    affected.ceiling = affected
+        .old_scores
+        .iter()
+        .chain(&affected.new_scores)
+        .copied()
+        .reduce(f32::max);
+    affected
 }
 
 #[cfg(test)]
@@ -378,7 +416,79 @@ mod tests {
     use super::*;
     use crate::index::{ExactStrategy, IndexConfig};
     use crate::query::QueryParams;
+    use crate::test_support::{assert_index_equivalent, rebuild_oracle};
     use parscan_graph::generators;
+
+    /// The whole-graph reference for [`affected_walk`]: compare old and
+    /// new per-edge similarities over every vertex and report `(θ,
+    /// changed)`.
+    fn affected_ceiling(
+        old_graph: &CsrGraph,
+        old_sims: &EdgeSimilarities,
+        new_graph: &CsrGraph,
+        new_sims: &EdgeSimilarities,
+    ) -> (Option<f32>, usize) {
+        let n = new_graph.num_vertices();
+        let per_vertex: Vec<(f32, usize)> = par_map(n, 64, |a| {
+            let a = a as VertexId;
+            let old_range = old_graph.slot_range(a);
+            let new_range = new_graph.slot_range(a);
+            let (mut i, mut j) = (old_range.start, new_range.start);
+            let mut ceiling = f32::NEG_INFINITY;
+            let mut changed = 0usize;
+            while i < old_range.end && j < new_range.end {
+                let ob = old_graph.slot_neighbor(i);
+                let nb = new_graph.slot_neighbor(j);
+                if ob == nb {
+                    if ob > a {
+                        let (o, s) = (old_sims.slot(i), new_sims.slot(j));
+                        if o != s {
+                            ceiling = ceiling.max(o.max(s));
+                            changed += 1;
+                        }
+                    }
+                    i += 1;
+                    j += 1;
+                } else if ob < nb {
+                    if ob > a {
+                        // Deleted edge: its old score is the reach of its loss.
+                        ceiling = ceiling.max(old_sims.slot(i));
+                        changed += 1;
+                    }
+                    i += 1;
+                } else {
+                    if nb > a {
+                        // Inserted edge: its new score is the reach of its gain.
+                        ceiling = ceiling.max(new_sims.slot(j));
+                        changed += 1;
+                    }
+                    j += 1;
+                }
+            }
+            while i < old_range.end {
+                if old_graph.slot_neighbor(i) > a {
+                    ceiling = ceiling.max(old_sims.slot(i));
+                    changed += 1;
+                }
+                i += 1;
+            }
+            while j < new_range.end {
+                if new_graph.slot_neighbor(j) > a {
+                    ceiling = ceiling.max(new_sims.slot(j));
+                    changed += 1;
+                }
+                j += 1;
+            }
+            (ceiling, changed)
+        });
+        let mut ceiling = f32::NEG_INFINITY;
+        let mut changed = 0usize;
+        for &(c, k) in &per_vertex {
+            ceiling = ceiling.max(c);
+            changed += k;
+        }
+        ((changed > 0).then_some(ceiling), changed)
+    }
 
     fn rebuild_config() -> IndexConfig {
         // Full-merge matches the per-edge recompute path bit for bit.
@@ -556,5 +666,82 @@ mod tests {
         assert_eq!(outcome.index.graph().num_edges(), index.graph().num_edges());
         let ns = outcome.index.graph().slot_of(u, v).unwrap();
         assert_eq!(outcome.index.graph().slot_weight(ns), w + 1.0);
+    }
+
+    #[test]
+    fn dirty_walk_matches_the_whole_graph_ceiling() {
+        // θ and the changed-edge count from the walk over D must equal a
+        // comparison of every slot of both graphs.
+        let (wg, _) = generators::weighted_planted_partition(120, 4, 8.0, 1.0, 21);
+        let g = generators::erdos_renyi(150, 900, 17);
+        let edges: Vec<(u32, u32)> = g.canonical_edges().map(|(u, v, _)| (u, v)).collect();
+        let wedges: Vec<(u32, u32)> = wg.canonical_edges().map(|(u, v, _)| (u, v)).collect();
+        let cases = [
+            (g.clone(), BatchUpdate::insert(&[(0, 149), (3, 77)])),
+            (g.clone(), BatchUpdate::delete(&edges[..7])),
+            (
+                g,
+                BatchUpdate {
+                    insertions: vec![(5, 140, 1.0), (9, 10, 1.0)],
+                    deletions: edges[40..44].to_vec(),
+                },
+            ),
+            (
+                wg,
+                BatchUpdate {
+                    insertions: vec![(0, 100, 0.7), (wedges[3].0, wedges[3].1, 4.5)],
+                    deletions: wedges[10..13].to_vec(),
+                },
+            ),
+        ];
+        for (graph, batch) in cases {
+            let index = ScanIndex::build(graph, rebuild_config());
+            let outcome = apply_batch_diff(&index, &batch).expect("effective batch");
+            let want = affected_ceiling(
+                index.graph(),
+                index.similarities(),
+                outcome.index.graph(),
+                outcome.index.similarities(),
+            );
+            assert_eq!(
+                (outcome.max_affected_similarity, outcome.changed_edges),
+                want
+            );
+            assert!(outcome.changed_edges > 0);
+        }
+    }
+
+    #[test]
+    fn orders_and_breakpoints_match_a_full_rebuild_bitwise() {
+        // Degree extremes: the max-degree vertex losing edges (max μ
+        // shrinks), an insertion raising the max degree, a vertex falling
+        // to degree 0, and the graph becoming edgeless and refilling.
+        let star = generators::star(12);
+        let hub_edges: Vec<(u32, u32)> = (1..12).map(|v| (0, v)).collect();
+        let measure = crate::similarity::SimilarityMeasure::Cosine;
+        let mut index = ScanIndex::build(star, rebuild_config());
+        for batch in [
+            BatchUpdate::delete(&hub_edges[..6]),
+            BatchUpdate::insert(&[(7, 8), (7, 9), (7, 10), (7, 11), (7, 1), (7, 2), (7, 3)]),
+            BatchUpdate::delete(&[(0, 7), (0, 8)]),
+            BatchUpdate::delete(&[
+                (0, 9),
+                (0, 10),
+                (0, 11),
+                (7, 8),
+                (7, 9),
+                (7, 10),
+                (7, 11),
+                (7, 1),
+                (7, 2),
+                (7, 3),
+            ]),
+            BatchUpdate::insert(&[(1, 2), (2, 3), (1, 3)]),
+        ] {
+            let oracle = rebuild_oracle(index.graph(), &batch, measure);
+            index = apply_batch(index, &batch);
+            assert_index_equivalent(&index, &oracle, 0.0);
+        }
+        assert_eq!(index.graph().num_edges(), 3);
     }
 }

@@ -12,6 +12,9 @@
 //!   monotonically to their IEEE-754 bit patterns, so the "rational → fixed
 //!   point integer" trick of §2.3.2 is exact here — both paths produce
 //!   identical orders.
+//!
+//! After a batch update, `NeighborOrder::update` derives the new order
+//! from the old one, re-sorting only the vertices whose scores moved.
 
 use crate::index::SortStrategy;
 use crate::similarity_exact::EdgeSimilarities;
@@ -88,6 +91,52 @@ impl NeighborOrder {
         par_radix_sort_by_key(&mut keyed, |e| e.0, Some(max_key));
         let nbr = par_map(slots, 8192, |k| g.slot_neighbor(keyed[k].1 as usize));
         let sim = par_map(slots, 8192, |k| sims.slot(keyed[k].1 as usize));
+        NeighborOrder { nbr, sim }
+    }
+
+    /// Derive the neighbor order of `new_g` from this order of `old_g`
+    /// after a batch update ([`crate::dynamic`]), without a global sort.
+    /// A vertex outside `dirty` keeps its neighbor list and every incident
+    /// score, so its segment is copied to its new slot range; only dirty
+    /// vertices are re-sorted. Ties break as in the radix key of
+    /// [`Self::build`] (IEEE bits descending, then id ascending), so the
+    /// result is bitwise identical to a full build on `new_g` and `sims`.
+    pub(crate) fn update(
+        &self,
+        old_g: &CsrGraph,
+        new_g: &CsrGraph,
+        sims: &EdgeSimilarities,
+        dirty: &[bool],
+    ) -> Self {
+        let slots = new_g.num_slots();
+        let mut nbr = vec![0 as VertexId; slots];
+        let mut sim = vec![0f32; slots];
+        let nbr_ptr = SyncMutPtr::new(&mut nbr);
+        let sim_ptr = SyncMutPtr::new(&mut sim);
+        par_for(new_g.num_vertices(), 256, |v| {
+            let range = new_g.slot_range(v as VertexId);
+            // SAFETY: per-vertex slot ranges are disjoint.
+            let (out_nbr, out_sim) = unsafe {
+                (
+                    nbr_ptr.slice_mut(range.start, range.len()),
+                    sim_ptr.slice_mut(range.start, range.len()),
+                )
+            };
+            if !dirty[v] {
+                let old = old_g.slot_range(v as VertexId);
+                out_nbr.copy_from_slice(&self.nbr[old.clone()]);
+                out_sim.copy_from_slice(&self.sim[old]);
+                return;
+            }
+            let mut entries: Vec<(f32, VertexId)> = range
+                .map(|s| (sims.slot(s), new_g.slot_neighbor(s)))
+                .collect();
+            entries.sort_unstable_by_key(|&(s, x)| (std::cmp::Reverse(s.to_bits()), x));
+            for (k, (s, x)) in entries.into_iter().enumerate() {
+                out_nbr[k] = x;
+                out_sim[k] = s;
+            }
+        });
         NeighborOrder { nbr, sim }
     }
 

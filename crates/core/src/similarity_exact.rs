@@ -35,7 +35,7 @@ use parscan_parallel::hashtable::{ConcurrentMapU64, ConcurrentSetU64};
 use parscan_parallel::primitives::{par_for, par_for_range, par_map};
 use parscan_parallel::utils::{ScratchPool, SyncMutPtr};
 use parscan_parallel::weighted::par_for_weighted_range;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Per-slot similarity scores aligned with a graph's CSR slots.
 #[derive(Clone, Debug)]
@@ -69,6 +69,73 @@ impl EdgeSimilarities {
             per_slot,
             breakpoints: cell,
         }
+    }
+
+    /// Wrap a per-slot array produced by a batch update, deriving its
+    /// breakpoints from the previous table `old` instead of re-sorting.
+    /// `removed` holds the old scores of every slot whose score changed or
+    /// that disappeared; `added` holds the new scores of every slot whose
+    /// score changed or that appeared (any order, duplicates allowed).
+    /// A removed value leaves the table only if no slot of `per_slot`
+    /// still holds it — one parallel membership pass, which stops as soon
+    /// as every removed value has been found — and the added
+    /// values are merged in. The table is bitwise identical to the one
+    /// [`Self::breakpoints`] would sort from `per_slot`.
+    pub(crate) fn from_per_slot_updating_breakpoints(
+        per_slot: Vec<f32>,
+        old: &[f32],
+        removed: &[f32],
+        added: &[f32],
+    ) -> Self {
+        let sorted_bits = |values: &[f32]| {
+            let mut bits: Vec<u32> = values.iter().map(|v| v.to_bits()).collect();
+            bits.sort_unstable();
+            bits.dedup();
+            bits
+        };
+        let added = sorted_bits(added);
+        let mut gone = sorted_bits(removed);
+        gone.retain(|b| added.binary_search(b).is_err());
+        if !gone.is_empty() {
+            // Chunks stop scanning once every candidate has been seen:
+            // most removed values are still held by some other edge.
+            // Relaxed suffices: the flags publish no other data, and are
+            // read only after the loop has joined.
+            let held: Vec<AtomicBool> = gone.iter().map(|_| AtomicBool::new(false)).collect();
+            let missing = AtomicUsize::new(gone.len());
+            par_for_range(per_slot.len(), 4096, |r| {
+                if missing.load(Ordering::Relaxed) == 0 {
+                    return;
+                }
+                for s in &per_slot[r] {
+                    if let Ok(i) = gone.binary_search(&s.to_bits()) {
+                        if !held[i].load(Ordering::Relaxed)
+                            && !held[i].swap(true, Ordering::Relaxed)
+                        {
+                            missing.fetch_sub(1, Ordering::Relaxed);
+                        }
+                    }
+                }
+            });
+            let mut held = held.into_iter().map(AtomicBool::into_inner);
+            gone.retain(|_| !held.next().expect("one flag per value"));
+        }
+
+        let mut table = Vec::with_capacity(old.len() + added.len());
+        let mut added = added.into_iter().peekable();
+        for bits in old.iter().map(|v| v.to_bits()) {
+            if gone.binary_search(&bits).is_ok() {
+                continue;
+            }
+            while let Some(a) = added.next_if(|&a| a <= bits) {
+                if a < bits {
+                    table.push(f32::from_bits(a));
+                }
+            }
+            table.push(f32::from_bits(bits));
+        }
+        table.extend(added.map(f32::from_bits));
+        Self::from_per_slot_with_breakpoints(per_slot, table)
     }
 
     /// Sorted distinct similarity values. Every ε between two adjacent
@@ -632,6 +699,26 @@ mod tests {
                 b.slot(s)
             );
         }
+    }
+
+    #[test]
+    fn updated_breakpoints_match_a_fresh_sort_bitwise() {
+        let old = EdgeSimilarities::from_per_slot(vec![0.25, 0.5, 0.5, 0.75, 1.0, 1.0]);
+        // 0.25 vanishes, one of the two 0.5s moves to 0.6 (0.5 stays
+        // held), 0.75 moves and comes back, and 0.9 and 1.0 are added.
+        let per_slot = vec![0.6, 0.5, 0.75, 1.0, 1.0, 0.9, 0.9];
+        let updated = EdgeSimilarities::from_per_slot_updating_breakpoints(
+            per_slot.clone(),
+            old.breakpoints(),
+            &[0.25, 0.5, 0.75],
+            &[0.6, 0.75, 0.9, 0.9, 1.0],
+        );
+        let fresh = EdgeSimilarities::from_per_slot(per_slot);
+        let bits = |s: &EdgeSimilarities| -> Vec<u32> {
+            s.breakpoints().iter().map(|b| b.to_bits()).collect()
+        };
+        assert_eq!(bits(&updated), bits(&fresh));
+        assert_eq!(updated.breakpoints(), &[0.5, 0.6, 0.75, 0.9, 1.0]);
     }
 
     #[test]

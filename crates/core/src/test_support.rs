@@ -101,8 +101,8 @@ pub fn rebuild_oracle(
 
 /// Assert full structural equivalence of two indexes: identical graphs,
 /// per-slot similarities within `tol`, and *identical* neighbor/core
-/// orders (deterministic radix sorts over equal scores leave no room
-/// for legitimate divergence).
+/// orders and ε-breakpoint tables (deterministic radix sorts over equal
+/// scores leave no room for legitimate divergence).
 ///
 /// # Panics
 /// Panics with a slot-level diagnostic on the first difference.
@@ -129,6 +129,11 @@ pub fn assert_index_equivalent(actual: &ScanIndex, expected: &ScanIndex, tol: f6
     assert_eq!(a_off, e_off, "core-order μ offsets differ");
     assert_eq!(a_vert, e_vert, "core-order vertex permutations differ");
     assert_eq!(a_thr, e_thr, "core-order thresholds differ");
+    let bits = |index: &ScanIndex| -> Vec<u32> {
+        let breakpoints = index.similarities().breakpoints();
+        breakpoints.iter().map(|b| b.to_bits()).collect()
+    };
+    assert_eq!(bits(actual), bits(expected), "breakpoint tables differ");
 }
 
 /// Assert that both indexes answer an entire `(μ, ε)` grid with equal

@@ -10,7 +10,11 @@
 //!    bitwise, since the oracle uses the same full-merge kernel),
 //!    identical neighbor/core orders, identical cluster labels across a
 //!    (μ, ε) grid. Three graph families: Erdős–Rényi, RMAT, and
-//!    weighted planted-partition, ≥ 200 cases total.
+//!    weighted planted-partition, ≥ 200 cases total. The neighbor
+//!    order, core order and ε-breakpoint table of an update are derived
+//!    from the previous epoch's, so chained streams (≥ 8 batches in
+//!    sequence) are checked against the oracle at *every* epoch, an
+//!    error in one epoch would otherwise compound silently in the next.
 //!
 //! 2. **Concurrent stress**: reader threads hammer CLUSTER/PROBE while
 //!    a writer streams mutation batches through the engine. Every
@@ -41,6 +45,24 @@ fn check_differential(graph: CsrGraph, batch: BatchUpdate) {
     assert_clusterings_equivalent(&updated, &oracle);
 }
 
+/// One batch of raw generated ops: insertion pairs and deletion picks
+/// (see [`make_batch`]).
+type RawOps = (Vec<(u32, u32)>, Vec<usize>);
+
+/// Apply `ops` as a chain of batches, each built against the current
+/// graph by [`make_batch`], and check every epoch against a rebuild.
+fn check_chain(graph: CsrGraph, ops: &[RawOps], weight_of: impl Fn(usize) -> f32) {
+    let measure = SimilarityMeasure::Cosine;
+    let mut index = ScanIndex::build(graph, oracle_config(measure));
+    for (ins, del_picks) in ops {
+        let batch = make_batch(index.graph(), ins, del_picks, &weight_of);
+        let oracle = rebuild_oracle(index.graph(), &batch, measure);
+        index = apply_batch(index, &batch);
+        assert_index_equivalent(&index, &oracle, 1e-12);
+        assert_clusterings_equivalent(&index, &oracle);
+    }
+}
+
 /// Turn raw generated ops into a batch against `graph`: insertion pairs
 /// are used as-is (self-loops and duplicates included — the maintenance
 /// path must handle them), deletion picks index into the graph's real
@@ -49,7 +71,7 @@ fn make_batch(
     graph: &CsrGraph,
     ins: &[(u32, u32)],
     del_picks: &[usize],
-    weight_of: impl Fn(usize) -> f32,
+    weight_of: &impl Fn(usize) -> f32,
 ) -> BatchUpdate {
     let n = graph.num_vertices() as u32;
     let edges: Vec<(u32, u32)> = graph.canonical_edges().map(|(u, v, _)| (u, v)).collect();
@@ -79,7 +101,7 @@ proptest! {
         )
     ) {
         let g = generators::erdos_renyi(80, 380, seed);
-        let batch = make_batch(&g, &ins, &del_picks, |_| 1.0);
+        let batch = make_batch(&g, &ins, &del_picks, &|_| 1.0);
         check_differential(g, batch);
     }
 
@@ -95,7 +117,7 @@ proptest! {
         // hubs have long neighbor lists where an off-by-one slot copy
         // would silently corrupt many similarities.
         let g = generators::rmat(6, 8, seed);
-        let batch = make_batch(&g, &ins, &del_picks, |_| 1.0);
+        let batch = make_batch(&g, &ins, &del_picks, &|_| 1.0);
         check_differential(g, batch);
     }
 
@@ -111,8 +133,137 @@ proptest! {
         let (g, _) = generators::weighted_planted_partition(72, 4, 8.0, 1.5, seed);
         // Distinct positive weights per op, including re-insertions of
         // existing edges (weight replacement).
-        let batch = make_batch(&g, &ins, &del_picks, |i| (wseed + i as u32) as f32 / 10.0);
+        let batch = make_batch(&g, &ins, &del_picks, &|i| (wseed + i as u32) as f32 / 10.0);
         check_differential(g, batch);
+    }
+}
+
+/// Generated chains of 8–11 batches of raw ops.
+fn op_chains(n: u32) -> impl Strategy<Value = Vec<RawOps>> {
+    proptest::collection::vec(
+        (
+            proptest::collection::vec((0..n, 0..n), 0..10),
+            proptest::collection::vec(0usize..1 << 16, 0..10),
+        ),
+        8..12,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn chained_er_streams_match_rebuild_at_every_epoch(
+        (seed, ops) in (0u64..1 << 48, op_chains(60))
+    ) {
+        check_chain(generators::erdos_renyi(60, 240, seed), &ops, |_| 1.0);
+    }
+
+    #[test]
+    fn chained_weighted_streams_match_rebuild_at_every_epoch(
+        (seed, ops, wseed) in (0u64..1 << 48, op_chains(60), 1u32..40)
+    ) {
+        let (g, _) = generators::weighted_planted_partition(60, 3, 7.0, 1.5, seed);
+        check_chain(g, &ops, |i| (wseed + i as u32) as f32 / 10.0);
+    }
+}
+
+/// A fixed chain through the degree extremes the incremental core order
+/// must get right: the max-degree vertices lose edges (max μ shrinks),
+/// an insertion raises the max degree, a vertex falls to degree 0, the
+/// graph becomes edgeless, and then refills. Every epoch is checked
+/// against a rebuild, on an unweighted and a weighted graph.
+#[test]
+fn chained_degree_extremes_match_rebuild_at_every_epoch() {
+    /// Apply one effective batch, check it, and report the new
+    /// `(max degree, max μ)`.
+    fn step(index: &mut ScanIndex, batch: BatchUpdate) -> (usize, u32) {
+        let oracle = rebuild_oracle(index.graph(), &batch, SimilarityMeasure::Cosine);
+        *index = apply_batch_diff(index, &batch)
+            .expect("effective batch")
+            .index;
+        assert_index_equivalent(index, &oracle, 1e-12);
+        assert_clusterings_equivalent(index, &oracle);
+        (index.graph().max_degree(), index.core_order().max_mu())
+    }
+
+    let measure = SimilarityMeasure::Cosine;
+    let weighted = generators::weighted_planted_partition(50, 3, 6.0, 1.0, 7).0;
+    for graph in [generators::rmat(6, 6, 3), weighted] {
+        let n = graph.num_vertices() as u32;
+        let mut index = ScanIndex::build(graph, oracle_config(measure));
+        let edges_of = |g: &CsrGraph, v: u32| -> Vec<(u32, u32)> {
+            g.neighbors(v).iter().map(|&x| (v, x)).collect()
+        };
+
+        // 1. Every max-degree vertex loses half its edges.
+        let (g, max) = (index.graph().clone(), index.graph().max_degree());
+        let hubs = (0..n).filter(|&v| g.degree(v) == max);
+        let cut: Vec<(u32, u32)> = hubs
+            .flat_map(|v| edges_of(&g, v).into_iter().step_by(2))
+            .collect();
+        let (new_max, max_mu) = step(&mut index, BatchUpdate::delete(&cut));
+        assert!(
+            new_max < max && max_mu as usize == new_max + 1,
+            "max μ shrinks"
+        );
+
+        // 2. Vertex 0 gains edges to every non-neighbor up to max + 3.
+        let g = index.graph().clone();
+        let gain: Vec<(u32, u32)> = (1..n)
+            .filter(|&x| g.slot_of(0, x).is_none())
+            .take(new_max + 3 - g.degree(0).min(new_max))
+            .map(|x| (0, x))
+            .collect();
+        let (raised, _) = step(&mut index, BatchUpdate::insert(&gain));
+        assert!(raised > new_max, "insertion raises the max degree");
+
+        // 3. Vertex 1 falls to degree 0, while others gain edges.
+        let g = index.graph().clone();
+        let mut batch = BatchUpdate::delete(&edges_of(&g, 1));
+        batch.insertions = vec![(2, 3, 0.5), (4, 5, 2.0), (6, n - 1, 1.5)];
+        step(&mut index, batch);
+        assert_eq!(index.graph().degree(1), 0);
+
+        // 4–5. Reweight or re-insert existing edges, then a mixed batch.
+        let g = index.graph().clone();
+        let some: Vec<(u32, u32)> = g
+            .canonical_edges()
+            .map(|(u, v, _)| (u, v))
+            .step_by(5)
+            .collect();
+        step(
+            &mut index,
+            BatchUpdate {
+                insertions: some
+                    .iter()
+                    .map(|&(u, v)| (u, v, 3.0))
+                    .chain([(1, 9, 1.0)])
+                    .collect(),
+                deletions: vec![],
+            },
+        );
+        step(
+            &mut index,
+            BatchUpdate {
+                insertions: vec![(1, 2, 1.0), (1, 3, 0.25), (10, 20, 1.0)],
+                deletions: some[..some.len() / 2].to_vec(),
+            },
+        );
+
+        // 6. The graph becomes edgeless.
+        let g = index.graph().clone();
+        let all: Vec<(u32, u32)> = g.canonical_edges().map(|(u, v, _)| (u, v)).collect();
+        let (max, max_mu) = step(&mut index, BatchUpdate::delete(&all));
+        assert_eq!((index.graph().num_edges(), max, max_mu), (0, 0, 1));
+
+        // 7–8. It refills, then loses an edge again.
+        step(
+            &mut index,
+            BatchUpdate::insert(&[(0, 1), (1, 2), (0, 2), (2, 3), (5, 6)]),
+        );
+        step(&mut index, BatchUpdate::delete(&[(2, 3)]));
+        assert_eq!(index.graph().num_edges(), 4);
     }
 }
 

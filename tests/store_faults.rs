@@ -32,8 +32,11 @@ struct FaultGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
 
 impl FaultGuard {
     fn new() -> FaultGuard {
+        // Lock first: clearing before the lock is held would disarm the
+        // failpoints of whichever test holds it right now.
+        let lock = fault_lock();
         failpoint::clear();
-        FaultGuard(fault_lock())
+        FaultGuard(lock)
     }
 }
 
