@@ -15,8 +15,7 @@ use parscan_core::{
 };
 use parscan_graph::generators;
 use parscan_server::{
-    serve_engine, serve_with_config, serve_with_store_and_config, BatchExecutor, EngineConfig,
-    GraphRegistry, QueryEngine, Request, Response, ServeConfig,
+    serve, BatchExecutor, EngineConfig, GraphRegistry, QueryEngine, Request, Response, ServeConfig,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -294,7 +293,13 @@ fn main() {
     );
 
     // --- TCP round-trip latency on the hot path -----------------------
-    let server = serve_engine(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
+    let server = serve(
+        GraphRegistry::single(Arc::clone(&engine)),
+        None,
+        "127.0.0.1:0",
+        ServeConfig::default(),
+    )
+    .expect("bind");
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut line = String::new();
@@ -322,8 +327,9 @@ fn main() {
     // tax the hot path, because idle fds cost one slab slot each and
     // zero worker or reactor time.
     let idle_target = (2000.0 * scale()) as usize;
-    let server = serve_with_config(
+    let server = serve(
         GraphRegistry::single(Arc::clone(&engine)),
+        None,
         "127.0.0.1:0",
         ServeConfig::default(),
     )
@@ -370,8 +376,9 @@ fn main() {
     // and closes, instead of parking it. Price that refusal.
     const SHED_CAP: usize = 64;
     const SHED_PROBES: usize = 100;
-    let server = serve_with_config(
+    let server = serve(
         GraphRegistry::single(Arc::clone(&engine)),
+        None,
         "127.0.0.1:0",
         ServeConfig {
             max_connections: SHED_CAP,
@@ -422,9 +429,9 @@ fn main() {
     let _ = std::fs::remove_dir_all(&store_dir);
     std::fs::create_dir_all(&store_dir).expect("create store dir");
     let store = Arc::new(parscan_store::IndexStore::open(&store_dir).expect("open store"));
-    let server = serve_with_store_and_config(
+    let server = serve(
         GraphRegistry::single(Arc::clone(&engine)),
-        Arc::clone(&store),
+        Some(Arc::clone(&store)),
         "127.0.0.1:0",
         ServeConfig {
             deadline: Some(std::time::Duration::from_millis(250)),

@@ -14,6 +14,19 @@ use std::path::Path;
 const MAGIC: &[u8; 4] = b"PSCG";
 const VERSION: u32 = 1;
 
+/// Read a graph file, choosing the reader by extension: `.bin` is the
+/// binary format, `.graph`/`.metis` METIS, anything else a whitespace
+/// edge list (vertex count inferred from the largest id).
+pub fn read_graph(path: &str) -> io::Result<CsrGraph> {
+    if path.ends_with(".bin") {
+        read_binary(path)
+    } else if path.ends_with(".graph") || path.ends_with(".metis") {
+        crate::metis::read_metis(path)
+    } else {
+        read_edge_list_text(path, None)
+    }
+}
+
 /// Write `g` as a text edge list (`u v` or `u v w` per line, canonical
 /// `u < v` orientation, `#`-prefixed header).
 pub fn write_edge_list_text<P: AsRef<Path>>(g: &CsrGraph, path: P) -> io::Result<()> {

@@ -14,7 +14,6 @@
 //! - [`sort`]: parallel comparison sort (chunk sort + co-rank parallel merge),
 //! - [`radix`]: parallel stable LSD integer sort (the Thm 4.2 ingredient),
 //! - [`hashtable`]: phase-concurrent open-addressing hash set/map,
-//! - [`dedup`]: parallel duplicate removal,
 //! - [`union_find`]: lock-free concurrent union-find (ConnectIt-style),
 //! - [`connectivity`]: parallel connected components over explicit edge
 //!   lists (the Gazit role from §2.3.2).
@@ -25,7 +24,6 @@
 //! thread counts without re-creating pools.
 
 pub mod connectivity;
-pub mod dedup;
 pub mod filter;
 pub mod fork_join;
 pub mod hashtable;
@@ -40,7 +38,6 @@ pub mod utils;
 pub mod weighted;
 
 pub use connectivity::connected_components;
-pub use dedup::remove_duplicates_u64;
 pub use filter::{filter, pack_index_u32};
 pub use fork_join::join;
 pub use hashtable::{ConcurrentMapU64, ConcurrentSetU64};

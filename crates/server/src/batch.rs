@@ -62,10 +62,13 @@ enum Plan {
         slot: usize,
         representative: bool,
         graph: String,
+        params: parscan_core::QueryParams,
+        full: bool,
     },
     /// Graph resolution failed at planning time.
     Error(String),
-    /// Everything that is not a clustering query; handled at fan-out.
+    /// Everything that is not a clustering query; the caller's
+    /// answerer handles it at fan-out.
     Other,
 }
 
@@ -75,12 +78,12 @@ impl<'r> BatchExecutor<'r> {
     }
 
     /// Execute `requests`, returning one response per request in order.
-    /// `stats` supplies the response for embedded `STATS` commands, given
-    /// the command's graph address (the caller owns session bookkeeping
-    /// this module knows nothing about).
-    pub fn execute<F>(&self, requests: &[Request], stats: F) -> Vec<Response>
+    /// `answer` supplies the response for every item that is not a
+    /// `CLUSTER` (the server passes the same synchronous answerer it
+    /// uses for top-level requests).
+    pub fn execute<F>(&self, requests: &[Request], answer: F) -> Vec<Response>
     where
-        F: Fn(Option<&str>) -> Response,
+        F: Fn(&Request) -> Response,
     {
         // Deduplicate clustering work by (graph, μ, ε-class): one
         // execution per distinct key, shared by every duplicate in the
@@ -91,26 +94,30 @@ impl<'r> BatchExecutor<'r> {
         let mut plans: Vec<Plan> = Vec::with_capacity(requests.len());
         for req in requests {
             match req {
-                Request::Cluster { graph, params, .. } => {
-                    match self.registry.get(graph.as_deref()) {
-                        Ok((canonical, engine)) => {
-                            let (eps_class, _) = engine.snap_epsilon(params.epsilon);
-                            let key = (canonical.clone(), params.mu, eps_class);
-                            let mut first = false;
-                            let slot = *key_to_slot.entry(key).or_insert_with(|| {
-                                first = true;
-                                distinct.push((engine, *params));
-                                distinct.len() - 1
-                            });
-                            plans.push(Plan::Cluster {
-                                slot,
-                                representative: first,
-                                graph: canonical,
-                            });
-                        }
-                        Err(e) => plans.push(Plan::Error(e.to_string())),
+                Request::Cluster {
+                    graph,
+                    params,
+                    full,
+                } => match self.registry.get(graph.as_deref()) {
+                    Ok((canonical, engine)) => {
+                        let (eps_class, _) = engine.snap_epsilon(params.epsilon);
+                        let key = (canonical.clone(), params.mu, eps_class);
+                        let mut first = false;
+                        let slot = *key_to_slot.entry(key).or_insert_with(|| {
+                            first = true;
+                            distinct.push((engine, *params));
+                            distinct.len() - 1
+                        });
+                        plans.push(Plan::Cluster {
+                            slot,
+                            representative: first,
+                            graph: canonical,
+                            params: *params,
+                            full: *full,
+                        });
                     }
-                }
+                    Err(e) => plans.push(Plan::Error(e.to_string())),
+                },
                 _ => plans.push(Plan::Other),
             }
         }
@@ -132,95 +139,32 @@ impl<'r> BatchExecutor<'r> {
 
         requests
             .iter()
-            .zip(&plans)
-            .map(|(req, plan)| match req {
-                Request::Cluster { params, full, .. } => match plan {
-                    Plan::Error(message) => Response::Error {
-                        message: message.clone(),
-                    },
-                    Plan::Cluster {
-                        slot,
-                        representative,
-                        graph,
-                    } => {
-                        let mut outcome = match &outcomes[*slot] {
-                            Ok(outcome) => outcome.clone(),
-                            Err(abandoned) => {
-                                return Response::Retryable {
-                                    message: abandoned.to_string(),
-                                    reason: "coalesce",
-                                }
-                            }
-                        };
-                        if !representative {
-                            // Duplicates consumed a shared result: report
-                            // their own ε snap and hit-like metadata, not
-                            // the representative's execution cost.
-                            let engine = &distinct[*slot].0;
-                            let (eps_class, eps_snapped) = engine.snap_epsilon(params.epsilon);
-                            outcome.eps_class = eps_class;
-                            outcome.eps_snapped = eps_snapped;
-                            outcome.cached = true;
-                            outcome.coalesced = false;
-                            outcome.micros = 0;
-                        }
-                        Response::Cluster {
-                            graph: graph.clone(),
-                            params: *params,
-                            outcome,
-                            full: *full,
-                        }
-                    }
-                    Plan::Other => unreachable!("cluster requests always have a cluster plan"),
-                },
-                Request::Probe {
+            .zip(plans)
+            .map(|(req, plan)| match plan {
+                Plan::Cluster {
+                    slot,
+                    representative,
                     graph,
-                    vertex,
                     params,
-                } => match self.registry.get(graph.as_deref()) {
-                    Ok((canonical, engine)) => match engine.probe(*vertex, *params) {
-                        Ok(probe) => Response::Probe {
-                            graph: canonical,
-                            vertex: *vertex,
-                            params: *params,
-                            probe,
-                        },
-                        Err(message) => Response::Error { message },
-                    },
-                    Err(e) => Response::Error {
-                        message: e.to_string(),
-                    },
-                },
-                Request::Sweep { graph, eps_step } => match self.registry.get(graph.as_deref()) {
-                    Ok((canonical, engine)) => match engine.sweep_best(*eps_step) {
-                        Ok(best) => Response::Sweep {
-                            graph: canonical,
-                            best,
-                        },
-                        Err(message) => Response::Error { message },
-                    },
-                    Err(e) => Response::Error {
-                        message: e.to_string(),
-                    },
-                },
-                Request::Stats { graph } => stats(graph.as_deref()),
-                Request::List => Response::List {
-                    default: self.registry.default_name().to_string(),
-                    graphs: self.registry.list(),
-                    // Batches run without store context; top-level LIST
-                    // carries the persisted set.
-                    persisted: None,
-                },
-                Request::Ping => Response::Pong,
-                Request::Batch(_)
-                | Request::Quit
-                | Request::Shutdown
-                | Request::Load { .. }
-                | Request::Unload { .. }
-                | Request::Save { .. }
-                | Request::Apply { .. } => Response::Error {
-                    message: "command not allowed inside a batch".into(),
-                },
+                    full,
+                } => {
+                    let mut result = outcomes[slot].clone();
+                    if let (Ok(outcome), false) = (&mut result, representative) {
+                        // Duplicates consumed a shared result: report
+                        // their own ε snap and hit-like metadata, not
+                        // the representative's execution cost.
+                        let (eps_class, eps_snapped) =
+                            distinct[slot].0.snap_epsilon(params.epsilon);
+                        outcome.eps_class = eps_class;
+                        outcome.eps_snapped = eps_snapped;
+                        outcome.cached = true;
+                        outcome.coalesced = false;
+                        outcome.micros = 0;
+                    }
+                    Response::cluster(graph, params, full, result)
+                }
+                Plan::Error(message) => Response::Error { message },
+                Plan::Other => answer(req),
             })
             .collect()
     }
@@ -240,8 +184,15 @@ mod tests {
         r
     }
 
-    fn stats_stub(_graph: Option<&str>) -> Response {
-        Response::Pong
+    /// Stands in for the server's synchronous answerer: every item that
+    /// is not a `CLUSTER` reaches it.
+    fn answer_stub(request: &Request) -> Response {
+        match request {
+            Request::Ping => Response::Pong,
+            _ => Response::Error {
+                message: "answered by the caller".into(),
+            },
+        }
     }
 
     #[test]
@@ -273,7 +224,7 @@ mod tests {
                 params: p1,
             },
         ];
-        let responses = BatchExecutor::new(&r).execute(&requests, stats_stub);
+        let responses = BatchExecutor::new(&r).execute(&requests, answer_stub);
         assert_eq!(responses.len(), 5);
         let (a, c) = match (&responses[0], &responses[2]) {
             (Response::Cluster { outcome: a, .. }, Response::Cluster { outcome: c, .. }) => (a, c),
@@ -292,7 +243,9 @@ mod tests {
         let (_, engine) = r.get(None).unwrap();
         assert_eq!(engine.stats().cluster_requests, 2);
         assert!(matches!(responses[3], Response::Pong));
-        assert!(matches!(responses[4], Response::Probe { .. }));
+        assert!(
+            matches!(&responses[4], Response::Error { message } if message == "answered by the caller")
+        );
     }
 
     #[test]
@@ -309,7 +262,7 @@ mod tests {
                 full: false,
             })
             .collect();
-        let batched = BatchExecutor::new(&r).execute(&requests, stats_stub);
+        let batched = BatchExecutor::new(&r).execute(&requests, answer_stub);
 
         let direct = registry(); // fresh registry, sequential execution
         let (_, direct_engine) = direct.get(None).unwrap();
@@ -349,7 +302,7 @@ mod tests {
                 full: false,
             },
         ];
-        let responses = BatchExecutor::new(&r).execute(&requests, stats_stub);
+        let responses = BatchExecutor::new(&r).execute(&requests, answer_stub);
         assert!(matches!(responses[0], Response::Error { .. }));
         assert!(matches!(responses[1], Response::Cluster { .. }));
         let Response::Error { message } = &responses[2] else {
@@ -377,7 +330,7 @@ mod tests {
                 full: false,
             },
         ];
-        let responses = BatchExecutor::new(&r).execute(&requests, stats_stub);
+        let responses = BatchExecutor::new(&r).execute(&requests, answer_stub);
         let [Response::Cluster {
             graph: ga,
             outcome: a,

@@ -26,9 +26,11 @@
 //! because neither result is cached yet when the second arrives. The
 //! engine closes it with a per-key in-flight table: the first cold miss
 //! (the *leader*) registers a once-cell slot, computes, and publishes;
-//! every concurrent miss on the same key (a *follower*) blocks on the
-//! slot instead of recomputing. Followers are counted as cache hits
-//! (they did not compute) and additionally as [`EngineStats::coalesced_waits`].
+//! every concurrent miss on the same key (a *follower*) waits on (or
+//! subscribes to) the slot instead of recomputing. Followers are counted
+//! as cache hits (they did not compute) and additionally as
+//! [`EngineStats::coalesced_waits`]. A follower whose leader panicked
+//! gets [`CoalesceAbandoned`] at once, counted as a miss.
 //!
 //! # Live mutation: epoch publishing
 //!
@@ -56,7 +58,7 @@
 //! out of the LRU instead of ever being served stale.
 
 use crate::cache::ShardedLru;
-use crate::coalesce::{Coalescer, Entry};
+use crate::coalesce::{Cell, Coalescer, Entry};
 use crate::{lock_mutex, read_lock, write_lock};
 use parscan_core::{
     apply_batch_diff, BatchUpdate, BorderAssignment, Clustering, QueryOptions, QueryParams,
@@ -68,10 +70,15 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 /// Completion callback for [`QueryEngine::cluster_deferred`]. Receives
-/// `None` when the coalescing leader abandoned the computation (it
-/// panicked); the caller answers with a retryable error instead of
-/// re-running the work on whatever thread the cancellation fired on.
-pub type ClusterCallback = Box<dyn FnOnce(Option<ClusterOutcome>) + Send>;
+/// [`CoalesceAbandoned`] when the coalescing leader abandoned the
+/// computation (it panicked); the caller answers with a retryable error
+/// instead of re-running the work on whatever thread the cancellation
+/// fired on.
+pub type ClusterCallback = Box<dyn FnOnce(Result<ClusterOutcome, CoalesceAbandoned>) + Send>;
+
+/// The in-flight leader's completion cell a coalesced follower settles
+/// from.
+type FollowerCell = Arc<Cell<Arc<Clustering>>>;
 
 /// Engine construction parameters.
 #[derive(Clone, Copy, Debug)]
@@ -206,26 +213,55 @@ pub struct ClusterOutcome {
     pub epoch: u64,
 }
 
-/// How many dead coalescing leaders one request will outlive before the
-/// engine gives up on the key. Three is generous: a transient panic
-/// (allocation pressure, a poisoned dependency that recovers) clears in
-/// one retry, while a deterministic crash makes every retry die
-/// identically — more attempts only lengthen the convoy.
-pub const MAX_LEADER_RETRIES: u32 = 3;
+/// What a clustering request fixes when it starts: its clock and its ε
+/// class under the publication it runs against.
+#[derive(Clone, Copy)]
+struct Stamp {
+    start: Instant,
+    eps_class: u32,
+    eps_snapped: f32,
+    epoch: u64,
+}
 
-/// Every coalescing leader this request waited on panicked before
-/// publishing a result ([`MAX_LEADER_RETRIES`] of them). The condition
-/// is transient by construction — the next leader may succeed — so wire
-/// paths map it to a `retryable:true` / `reason:"coalesce"` response.
+impl Stamp {
+    fn new(published: &Published, epsilon: f32) -> Stamp {
+        let (eps_class, eps_snapped) = published.snap_epsilon(epsilon);
+        Stamp {
+            start: Instant::now(),
+            eps_class,
+            eps_snapped,
+            epoch: published.epoch,
+        }
+    }
+
+    fn outcome(
+        &self,
+        clustering: Arc<Clustering>,
+        cached: bool,
+        coalesced: bool,
+    ) -> ClusterOutcome {
+        ClusterOutcome {
+            clustering,
+            cached,
+            coalesced,
+            micros: self.start.elapsed().as_micros() as u64,
+            eps_class: self.eps_class,
+            eps_snapped: self.eps_snapped,
+            epoch: self.epoch,
+        }
+    }
+}
+
+/// The coalescing leader this request waited on panicked before
+/// publishing a result. The condition is transient by construction — the
+/// next leader may succeed — so wire paths map it to a `retryable:true` /
+/// `reason:"coalesce"` response.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CoalesceAbandoned;
 
 impl std::fmt::Display for CoalesceAbandoned {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "clustering abandoned: {MAX_LEADER_RETRIES} coalescing leaders failed; retry"
-        )
+        f.write_str("clustering was abandoned by a failed leader; retry")
     }
 }
 
@@ -306,11 +342,6 @@ impl QueryEngine {
         }
     }
 
-    /// Convenience: build an engine with [`EngineConfig::default`].
-    pub fn with_default_config(index: Arc<ScanIndex>) -> Self {
-        Self::new(index, EngineConfig::default())
-    }
-
     /// One consistent snapshot of the serving state.
     fn published(&self) -> Arc<Published> {
         Arc::clone(&read_lock(&self.published))
@@ -340,274 +371,139 @@ impl QueryEngine {
         self.published().snap_epsilon(epsilon)
     }
 
-    /// Serve one clustering query through the cache. This is the
-    /// client-facing path: it is the only one (with [`Self::try_cluster`])
-    /// that moves the `cluster_requests` / hit / miss counters, so
-    /// `cache_hits + cache_misses == cluster_requests` always holds.
+    /// Serve one clustering query through the cache. This API has no
+    /// error channel: if the coalescing leader this request followed
+    /// panicked, it computes directly, outside the in-flight table.
+    /// Bounded work — never a spin — and if the computation itself is
+    /// what panics, this thread unwinds like any leader would.
     pub fn cluster(&self, params: QueryParams) -> ClusterOutcome {
-        self.counters
-            .cluster_requests
-            .fetch_add(1, Ordering::Relaxed);
-        match self.cluster_inner(params, true, true) {
-            Ok(out) => out,
-            Err(CoalesceAbandoned) => {
-                // Every coalescing leader for this key panicked and this
-                // API has no error channel: compute directly, outside
-                // the in-flight table. Bounded work — never a spin —
-                // and if the computation itself is what panics, this
-                // thread unwinds like any leader would.
-                let start = Instant::now();
+        self.try_cluster(params)
+            .unwrap_or_else(|CoalesceAbandoned| {
+                // `try_cluster` already counted the request as a miss.
                 let published = self.published();
-                let (eps_class, eps_snapped) = published.snap_epsilon(params.epsilon);
-                let clustering = Arc::new(self.compute(&published.index, params));
-                self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-                let out = ClusterOutcome {
-                    clustering,
-                    cached: false,
-                    coalesced: false,
-                    micros: start.elapsed().as_micros() as u64,
-                    eps_class,
-                    eps_snapped,
-                    epoch: published.epoch,
-                };
-                self.counters
-                    .compute_micros
-                    .fetch_add(out.micros, Ordering::Relaxed);
-                out
+                let stamp = Stamp::new(&published, params.epsilon);
+                stamp.outcome(self.compute(&published.index, params), false, false)
+            })
+    }
+
+    /// [`Self::cluster`] with the abandonment surfaced: a follower whose
+    /// coalescing leader died gets [`CoalesceAbandoned`] at once instead
+    /// of a direct computation, so a client sees `retryable:true` rather
+    /// than having its request ride a possibly-doomed computation.
+    pub fn try_cluster(&self, params: QueryParams) -> Result<ClusterOutcome, CoalesceAbandoned> {
+        match self.begin_cluster(params) {
+            Ok(outcome) => Ok(outcome),
+            Err((cell, stamp)) => self.follow(stamp, cell.wait()),
+        }
+    }
+
+    /// Event-driven sibling of [`Self::try_cluster`] for the reactor's
+    /// worker pool: `notify` is invoked exactly once with the outcome —
+    /// inline on this thread for cache hits and led computations,
+    /// later on the leader's thread for coalesced followers. A worker
+    /// thread therefore never parks on another request's progress.
+    pub fn cluster_deferred(self: &Arc<Self>, params: QueryParams, notify: ClusterCallback) {
+        match self.begin_cluster(params) {
+            Ok(outcome) => notify(Ok(outcome)),
+            Err((cell, stamp)) => {
+                let engine = Arc::clone(self);
+                cell.on_ready(move |result| notify(engine.follow(stamp, result)));
             }
         }
     }
 
-    /// [`Self::cluster`] with the abandonment surfaced: after
-    /// [`MAX_LEADER_RETRIES`] coalescing leaders die under this request,
-    /// return the typed error instead of computing directly. The wire
-    /// paths use this so a client sees `retryable:true` rather than
-    /// having its request ride a possibly-doomed computation.
-    pub fn try_cluster(&self, params: QueryParams) -> Result<ClusterOutcome, CoalesceAbandoned> {
-        self.counters
-            .cluster_requests
-            .fetch_add(1, Ordering::Relaxed);
-        let result = self.cluster_inner(params, true, true);
-        if result.is_err() {
-            // The request is still answered (with an error), so the
-            // ledger stays exact: an abandoned computation is a miss.
-            self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
-        result
-    }
-
-    /// The shared query path. With `use_cache` false the cache is neither
-    /// consulted nor populated (and no coalescing happens) — used by bulk
-    /// work like sweeps that would otherwise evict every hot entry of a
-    /// smaller cache. With `count` false the hit/miss counters stay
-    /// untouched (internal work must not skew client-facing serving
-    /// stats); `compute_micros` accumulates whenever a computation ran,
-    /// since it measures computation, not traffic.
+    /// The one clustering path behind every entry point: count the
+    /// request, snap ε, probe the cache, then either lead the
+    /// computation (compute, cache, publish to followers, count the
+    /// miss) or hand back the in-flight leader's cell, which the caller
+    /// waits on or subscribes to and settles with [`Self::follow`].
     ///
     /// The published snapshot is taken once, up front: epoch, breakpoint
     /// table, and index all come from it, so a concurrent update can
     /// never mix state from two publications inside one query.
-    fn cluster_inner(
-        &self,
-        params: QueryParams,
-        use_cache: bool,
-        count: bool,
-    ) -> Result<ClusterOutcome, CoalesceAbandoned> {
-        let start = Instant::now();
+    fn begin_cluster(&self, params: QueryParams) -> Result<ClusterOutcome, (FollowerCell, Stamp)> {
+        self.counters
+            .cluster_requests
+            .fetch_add(1, Ordering::Relaxed);
         let published = self.published();
-        let (eps_class, eps_snapped) = published.snap_epsilon(params.epsilon);
-        let key = CacheKey {
-            epoch: published.epoch,
-            mu: params.mu,
-            eps_class,
-            most_similar: self.border == BorderAssignment::MostSimilar,
+        let stamp = Stamp::new(&published, params.epsilon);
+        let key = self.key(&published, params.mu, stamp.eps_class);
+        let hit = |clustering| {
+            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+            stamp.outcome(clustering, true, false)
         };
-        let epoch = published.epoch;
-        let finish = |clustering: Arc<Clustering>, cached: bool, coalesced: bool| ClusterOutcome {
-            clustering,
-            cached,
-            coalesced,
-            micros: start.elapsed().as_micros() as u64,
-            eps_class,
-            eps_snapped,
-            epoch,
-        };
-        if !use_cache {
-            let clustering = Arc::new(self.compute(&published.index, params));
-            let out = finish(clustering, false, false);
-            self.counters
-                .compute_micros
-                .fetch_add(out.micros, Ordering::Relaxed);
-            return Ok(out);
+        if let Some(clustering) = self.cache.get(&key) {
+            return Ok(hit(clustering));
         }
         // Pool workers must never block on another thread's computation:
         // the leader may itself need the (single, global) pool for its
         // own query phases, and a worker blocked on the coalescing
         // condvar stalls its whole job — a circular wait that would hang
         // every query in the process. Workers therefore skip the
-        // in-flight table entirely: cache hit if available, otherwise
-        // compute directly — a rare duplicate computation instead of a
-        // possible deadlock.
-        if parscan_parallel::pool::in_pool() {
-            if let Some(hit) = self.cache.get(&key) {
-                if count {
-                    self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                return Ok(finish(hit, true, false));
-            }
-            let clustering = Arc::new(self.compute(&published.index, params));
-            self.cache.insert(key, Arc::clone(&clustering));
-            if count {
-                self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-            }
-            let out = finish(clustering, false, false);
-            self.counters
-                .compute_micros
-                .fetch_add(out.micros, Ordering::Relaxed);
-            return Ok(out);
-        }
-        // The loop only repeats when a coalescing leader abandoned its
-        // computation (unwound); the retrying follower then competes to
-        // become leader itself. *Bounded*: a deterministic crash in the
-        // computation makes every new leader die the same way, and an
-        // unbounded loop would spin a convoy of followers forever. After
-        // `MAX_LEADER_RETRIES` dead leaders, give up with a typed error.
-        let mut abandoned = 0u32;
-        loop {
-            if let Some(hit) = self.cache.get(&key) {
-                if count {
-                    self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                return Ok(finish(hit, true, false));
-            }
-            // Cold so far: register as the computation leader for this
-            // key, or join an already in-flight computation as follower.
-            // The cache is re-probed under the coalescer's table lock: a
-            // leader publishes to the cache *before* deregistering, so a
-            // miss there with no registered cell proves nobody is (or
-            // was just) computing this key.
+        // in-flight table entirely and compute directly — a rare
+        // duplicate computation instead of a possible deadlock.
+        let leader = if parscan_parallel::pool::in_pool() {
+            None
+        } else {
+            // Register as the computation leader for this key, or join
+            // an already in-flight computation as follower. The cache is
+            // re-probed under the coalescer's table lock: a leader
+            // publishes to the cache *before* deregistering, so a miss
+            // there with no registered cell proves nobody is (or was
+            // just) computing this key.
             match self.inflight.enter_with(key, || self.cache.get(&key)) {
-                Ok(hit) => {
-                    if count {
-                        self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok(finish(hit, true, false));
-                }
-                Err(Entry::Follower(cell)) => {
-                    let Some(result) = cell.wait() else {
-                        // Leader unwound; retry from the top, a bounded
-                        // number of times.
-                        abandoned += 1;
-                        if abandoned >= MAX_LEADER_RETRIES {
-                            return Err(CoalesceAbandoned);
-                        }
-                        continue;
-                    };
-                    if count {
-                        // A coalesced wait is a hit (answered without
-                        // computing) that additionally moved the
-                        // coalescing counter; see
-                        // `EngineStats::coalesced_waits`.
-                        self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        self.counters
-                            .coalesced_waits
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok(finish(result, true, true));
-                }
-                Err(Entry::Leader(guard)) => {
-                    // Compute, publish to the cache, then deregister +
-                    // wake followers through the guard. The guard
-                    // cancels the cell if the computation unwinds.
-                    let clustering = Arc::new(self.compute(&published.index, params));
-                    self.cache.insert(key, Arc::clone(&clustering));
-                    guard.publish(Arc::clone(&clustering));
-                    if count {
-                        self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let out = finish(clustering, false, false);
-                    self.counters
-                        .compute_micros
-                        .fetch_add(out.micros, Ordering::Relaxed);
-                    return Ok(out);
-                }
+                Ok(clustering) => return Ok(hit(clustering)),
+                Err(Entry::Follower(cell)) => return Err((cell, stamp)),
+                Err(Entry::Leader(guard)) => Some(guard),
             }
+        };
+        // If the computation unwinds, the dropped guard cancels the cell
+        // and every follower settles with `CoalesceAbandoned`.
+        let clustering = self.compute(&published.index, params);
+        self.cache.insert(key, Arc::clone(&clustering));
+        if let Some(guard) = leader {
+            guard.publish(Arc::clone(&clustering));
         }
+        self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
+        Ok(stamp.outcome(clustering, false, false))
     }
 
-    /// Event-driven sibling of [`Self::cluster`] for the reactor's
-    /// worker pool: `notify` is invoked exactly once with the outcome —
-    /// inline on this thread for cache hits and led computations,
-    /// later on the leader's thread for coalesced followers. A worker
-    /// thread therefore never parks on another request's progress.
-    ///
-    /// Counter semantics match the blocking path (a coalesced
-    /// completion is a hit + coalesced_wait); an abandoned computation
-    /// is accounted as a miss so the request ledger
+    /// Settle a follower from its leader's cell. A published clustering
+    /// is a hit that additionally moves the coalescing counter (see
+    /// [`EngineStats::coalesced_waits`]); an abandoned one is the typed
+    /// error, counted as a miss so the request ledger
     /// (`cluster_requests == cache_hits + cache_misses`) stays exact.
-    pub fn cluster_deferred(self: &Arc<Self>, params: QueryParams, notify: ClusterCallback) {
+    fn follow(
+        &self,
+        stamp: Stamp,
+        result: Option<Arc<Clustering>>,
+    ) -> Result<ClusterOutcome, CoalesceAbandoned> {
+        let Some(clustering) = result else {
+            self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
+            return Err(CoalesceAbandoned);
+        };
+        self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
         self.counters
-            .cluster_requests
+            .coalesced_waits
             .fetch_add(1, Ordering::Relaxed);
-        let start = Instant::now();
-        let published = self.published();
-        let (eps_class, eps_snapped) = published.snap_epsilon(params.epsilon);
-        let key = CacheKey {
+        Ok(stamp.outcome(clustering, true, true))
+    }
+
+    /// The cache key of `(μ, ε-class)` under one publication.
+    fn key(&self, published: &Published, mu: u32, eps_class: u32) -> CacheKey {
+        CacheKey {
             epoch: published.epoch,
-            mu: params.mu,
+            mu,
             eps_class,
             most_similar: self.border == BorderAssignment::MostSimilar,
-        };
-        let epoch = published.epoch;
-        let outcome =
-            move |clustering: Arc<Clustering>, cached: bool, coalesced: bool| ClusterOutcome {
-                clustering,
-                cached,
-                coalesced,
-                micros: start.elapsed().as_micros() as u64,
-                eps_class,
-                eps_snapped,
-                epoch,
-            };
-        match self.inflight.enter_with(key, || self.cache.get(&key)) {
-            Ok(hit) => {
-                self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                notify(Some(outcome(hit, true, false)));
-            }
-            Err(Entry::Follower(cell)) => {
-                let engine = Arc::clone(self);
-                cell.on_ready(move |result| match result {
-                    Some(clustering) => {
-                        engine.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        engine
-                            .counters
-                            .coalesced_waits
-                            .fetch_add(1, Ordering::Relaxed);
-                        notify(Some(outcome(clustering, true, true)));
-                    }
-                    None => {
-                        engine.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-                        notify(None);
-                    }
-                });
-            }
-            Err(Entry::Leader(guard)) => {
-                let clustering = Arc::new(self.compute(&published.index, params));
-                self.cache.insert(key, Arc::clone(&clustering));
-                guard.publish(Arc::clone(&clustering));
-                self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-                let out = outcome(clustering, false, false);
-                self.counters
-                    .compute_micros
-                    .fetch_add(out.micros, Ordering::Relaxed);
-                notify(Some(out));
-            }
         }
     }
 
-    /// Run the clustering computation itself (no cache, no counters)
-    /// against one publication's index.
-    fn compute(&self, index: &ScanIndex, params: QueryParams) -> Clustering {
+    /// Run the clustering computation itself (no cache, no request
+    /// counters) against one publication's index; its wall-clock time
+    /// accumulates into `compute_micros`.
+    fn compute(&self, index: &ScanIndex, params: QueryParams) -> Arc<Clustering> {
+        let start = Instant::now();
         // Torture hook: a `panic` policy here is how tests kill a
         // coalescing leader mid-computation; a `delay` policy is how
         // they park a worker. Error policies have no channel at this
@@ -617,7 +513,11 @@ impl QueryEngine {
             border: self.border,
             ..Default::default()
         };
-        index.cluster_with_opts(params, opts)
+        let clustering = Arc::new(index.cluster_with_opts(params, opts));
+        self.counters
+            .compute_micros
+            .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
+        clustering
     }
 
     /// Apply a batch of edge mutations and publish the updated index as
@@ -770,8 +670,8 @@ impl QueryEngine {
         if !(0.005..1.0).contains(&eps_step) {
             return Err(format!("eps_step must be in [0.005, 1), got {eps_step}"));
         }
-        let index = self.index();
-        let g = index.graph();
+        let published = self.published();
+        let g = published.index.graph();
         let max_mu = (g.max_degree() as u32 + 1).max(2);
         // Exact multiples (not repeated addition, which drifts in f32) so
         // the grid matches what SweepGrid-based callers evaluate.
@@ -787,10 +687,17 @@ impl QueryEngine {
         let use_cache = points.len() <= self.cache.capacity() / 2;
         let mut best: Option<SweepBest> = None;
         for params in points {
-            let outcome = self
-                .cluster_inner(params, use_cache, false)
-                .map_err(|e| e.to_string())?;
-            let c = &outcome.clustering;
+            let c = if use_cache {
+                let (eps_class, _) = published.snap_epsilon(params.epsilon);
+                let key = self.key(&published, params.mu, eps_class);
+                self.cache.get(&key).unwrap_or_else(|| {
+                    let computed = self.compute(&published.index, params);
+                    self.cache.insert(key, Arc::clone(&computed));
+                    computed
+                })
+            } else {
+                self.compute(&published.index, params)
+            };
             let score = if c.num_clusters() == 0 {
                 f64::NEG_INFINITY
             } else {

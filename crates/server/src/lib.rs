@@ -17,10 +17,12 @@
 //! - [`GraphRegistry`] ([`registry`]): several named resident engines in
 //!   one process, with a byte-budgeted LRU admission/eviction policy
 //!   over estimated index footprints and coalesced `LOAD`s.
-//! - [`BatchExecutor`] ([`batch`]): deduplicates a mixed workload
-//!   (`cluster`, `sweep`, `stats`, vertex probes — possibly across
-//!   graphs) and runs the distinct clustering queries as one flat
-//!   parallel job on [`parscan_parallel::pool`].
+//! - [`BatchExecutor`] ([`batch`]): deduplicates the clustering queries
+//!   of a mixed workload by `(graph, μ, ε-class)` — possibly across
+//!   graphs — and runs the distinct ones as one flat parallel job on
+//!   [`parscan_parallel::pool`]; every other item is answered by a
+//!   caller-supplied closure (the server passes the same answerer it
+//!   uses for top-level requests).
 //! - [`serve`] ([`server`]): a line/JSON protocol ([`protocol`]) over
 //!   `std::net::TcpListener` — a readiness-polled reactor multiplexes
 //!   every connection on one thread (10k+ idle sessions in a bounded
@@ -33,7 +35,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use parscan_server::{serve, GraphRegistry, RegistryConfig};
+//! use parscan_server::{serve, GraphRegistry, RegistryConfig, ServeConfig};
 //! use parscan_core::{IndexConfig, ScanIndex};
 //! use std::io::{BufRead, BufReader, Write};
 //! use std::sync::Arc;
@@ -49,8 +51,9 @@
 //! let (_, engine) = registry.get(None).unwrap();
 //! assert!(!engine.cluster(parscan_core::QueryParams::new(3, 0.4)).cached);
 //!
-//! // Or over TCP (port 0 = OS-assigned); `@alt` addresses the second graph.
-//! let server = serve(registry, "127.0.0.1:0").unwrap();
+//! // Or over TCP (port 0 = OS-assigned; no durable store); `@alt`
+//! // addresses the second graph.
+//! let server = serve(registry, None, "127.0.0.1:0", ServeConfig::default()).unwrap();
 //! let mut conn = std::net::TcpStream::connect(server.addr()).unwrap();
 //! conn.write_all(b"@alt CLUSTER 3 0.4\n").unwrap();
 //! let mut line = String::new();
@@ -88,10 +91,7 @@ pub use registry::{
     validate_graph_name, GraphInfo, GraphRegistry, LoadOutcome, RegistryConfig, RegistryError,
     RegistryStats,
 };
-pub use server::{
-    serve, serve_engine, serve_with_config, serve_with_store, serve_with_store_and_config,
-    ServerHandle,
-};
+pub use server::{serve, ServerHandle};
 
 /// Lock a mutex, recovering from poisoning — a panicked holder must not
 /// wedge the serving layer (shared by the engine's in-flight table and

@@ -26,9 +26,10 @@
 //! A leading `@<graph>` token addresses a named graph in the server's
 //! [`GraphRegistry`](crate::registry::GraphRegistry); without it, a
 //! query runs against the default (boot) graph — PR 1 clients keep
-//! working unchanged. `LOAD`/`UNLOAD`/`SAVE`/`LIST` manage the registry
-//! and never appear inside a `BATCH` (batches are read-only, so the
-//! mutation verbs `INSERT`/`DELETE`/`APPLY` are excluded too). `SAVE`
+//! working unchanged. `LOAD`/`UNLOAD`/`SAVE`/`LIST` manage the registry;
+//! of these only the read-only `LIST` may appear inside a `BATCH`
+//! (batches are read-only, so the mutation verbs `INSERT`/`DELETE`/
+//! `APPLY` are excluded too). `SAVE`
 //! snapshots a resident graph into the server's durable store (it
 //! errors on servers started without `--store-dir`); `LOAD`'s optional
 //! `CACHE=<n>` sets that graph's result-cache capacity, which the store
@@ -41,7 +42,7 @@
 //! together reproduce the exact `Clustering` a direct library call
 //! returns. `BATCH` responds with `"results": [...]` in request order.
 
-use crate::engine::{ClusterOutcome, EngineStats, SweepBest, UpdateOutcome};
+use crate::engine::{ClusterOutcome, CoalesceAbandoned, EngineStats, SweepBest, UpdateOutcome};
 use crate::registry::{validate_graph_name, GraphInfo, LoadOutcome, RegistryStats};
 use parscan_core::{BatchUpdate, Clustering, QueryParams, VertexProbe, UNCLUSTERED};
 
@@ -438,7 +439,7 @@ pub enum Response {
     /// A transient failure the client should retry (with backoff):
     /// renders as `"op":"error"` with `"retryable":true` and a machine
     /// `reason` — `"deadline"` (request sat past its deadline),
-    /// `"coalesce"` (every coalescing leader for the result panicked),
+    /// `"coalesce"` (the coalescing leader for the result panicked),
     /// `"io"` (a store write failed but left the previous durable state
     /// intact). Contrast [`Response::Error`], whose `retryable:false`
     /// marks a mistake retrying cannot fix.
@@ -575,6 +576,29 @@ fn json_core_ids(c: &Clustering) -> String {
 }
 
 impl Response {
+    /// The answer to one `CLUSTER`, top-level or batched: the clustering,
+    /// or the retryable `"coalesce"` error when the coalescing leader it
+    /// waited on panicked.
+    pub(crate) fn cluster(
+        graph: String,
+        params: QueryParams,
+        full: bool,
+        result: Result<ClusterOutcome, CoalesceAbandoned>,
+    ) -> Response {
+        match result {
+            Ok(outcome) => Response::Cluster {
+                graph,
+                params,
+                outcome,
+                full,
+            },
+            Err(abandoned) => Response::Retryable {
+                message: abandoned.to_string(),
+                reason: "coalesce",
+            },
+        }
+    }
+
     /// Serialize as a single JSON object (no trailing newline).
     pub fn render_json(&self) -> String {
         match self {

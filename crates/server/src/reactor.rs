@@ -20,7 +20,7 @@
 //!   [`Waker`]. Coalesced cluster/load computations hand their
 //!   [`Responder`] to an in-flight leader instead of blocking a worker
 //!   ([`QueryEngine::cluster_deferred`](crate::engine::QueryEngine::cluster_deferred),
-//!   [`GraphRegistry::load_path_deferred`](crate::registry::GraphRegistry::load_path_deferred)).
+//!   [`GraphRegistry::load_deferred`](crate::registry::GraphRegistry::load_deferred)).
 //!
 //! ## Admission control
 //!
@@ -45,6 +45,7 @@
 use crate::conn::{ConnId, Connection, FillOutcome, InboxItem, MAX_LINE_BYTES};
 use crate::engine::EngineConfig;
 use crate::protocol::{parse_request, Request, Response};
+use crate::registry::build_index_from_path;
 use crate::server::{handle_request, load_response, Control, ServerShared};
 use netpoll::{Event, Interest, Poller, Waker};
 use std::io::{ErrorKind, Write};
@@ -55,7 +56,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Reactor and admission-control tuning for
-/// [`serve_with_config`](crate::server::serve_with_config). The
+/// [`serve`](crate::server::serve). The
 /// defaults hold 10k+ idle sessions in a few threads while bounding
 /// every queue a hostile client could grow.
 #[derive(Clone, Copy, Debug)]
@@ -355,11 +356,11 @@ impl Drop for Responder {
     }
 }
 
-/// Execute one request line on a worker thread. `CLUSTER` and `LOAD`
-/// route through the deferred engine/registry entry points so a
-/// coalesced follower parks its [`Responder`] on the in-flight leader's
-/// completion cell instead of blocking this worker; everything else
-/// runs inline through [`handle_request`].
+/// The dispatcher: execute one request line on a worker thread.
+/// `CLUSTER` and `LOAD` route through the deferred engine/registry entry
+/// points so a coalesced follower parks its [`Responder`] on the
+/// in-flight leader's completion cell instead of blocking this worker;
+/// everything else runs inline through [`handle_request`].
 fn execute_request(
     shared: &Arc<ServerShared>,
     line: &str,
@@ -380,23 +381,9 @@ fn execute_request(
         } => match shared.registry.get(graph.as_deref()) {
             Ok((canonical, engine)) => engine.cluster_deferred(
                 params,
-                Box::new(move |outcome| match outcome {
-                    Some(outcome) => responder.send(
-                        &Response::Cluster {
-                            graph: canonical,
-                            params,
-                            outcome,
-                            full,
-                        },
-                        Control::Continue,
-                    ),
-                    None => responder.send(
-                        &Response::Retryable {
-                            message: "clustering was abandoned by a failed leader; retry".into(),
-                            reason: "coalesce",
-                        },
-                        Control::Continue,
-                    ),
+                Box::new(move |result| {
+                    let response = Response::cluster(canonical, params, full, result);
+                    responder.send(&response, Control::Continue);
                 }),
             ),
             Err(e) => responder.send(
@@ -415,10 +402,10 @@ fn execute_request(
             let cb_shared = Arc::clone(shared);
             let cb_name = name.clone();
             let cb_path = path.clone();
-            shared.registry.load_path_deferred(
+            shared.registry.load_deferred(
                 &name,
-                &path,
                 config,
+                || build_index_from_path(&path),
                 Box::new(move |result| {
                     let response = load_response(&cb_shared, cb_name, &cb_path, start, result);
                     responder.send(&response, Control::Continue);
@@ -426,7 +413,7 @@ fn execute_request(
             );
         }
         other => {
-            let (response, control) = handle_request(other, shared, session_requests);
+            let (response, control) = handle_request(&other, shared, session_requests);
             responder.send(&response, control);
         }
     }

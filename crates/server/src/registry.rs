@@ -50,9 +50,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// Completion callback for [`GraphRegistry::load_path_deferred`].
-pub type LoadCallback =
-    Box<dyn FnOnce(Result<(Arc<QueryEngine>, LoadOutcome), RegistryError>) + Send>;
+/// What a load returns: the graph's engine and how the load was
+/// satisfied.
+pub type LoadResult = Result<(Arc<QueryEngine>, LoadOutcome), RegistryError>;
+
+/// Completion callback for [`GraphRegistry::load_deferred`].
+pub type LoadCallback = Box<dyn FnOnce(LoadResult) + Send>;
 
 /// Registry construction parameters.
 #[derive(Clone, Copy, Debug)]
@@ -126,7 +129,7 @@ impl std::fmt::Display for RegistryError {
 
 impl std::error::Error for RegistryError {}
 
-/// How a [`GraphRegistry::load_with`] call was satisfied.
+/// How a [`GraphRegistry::load`] call was satisfied.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LoadOutcome {
     /// This call built and admitted the graph.
@@ -333,9 +336,9 @@ impl GraphRegistry {
 
     /// Install an already-built index under `name` (the boot path and
     /// the programmatic API; protocol `LOAD`s go through
-    /// [`GraphRegistry::load_with`]). Replaces nothing: loading over an
+    /// [`GraphRegistry::load_deferred`]). Replaces nothing: loading over an
     /// existing name is reported as [`LoadOutcome::AlreadyLoaded`] by
-    /// `load_with`, and `install` on an existing name is an error via
+    /// the load functions, and `install` on an existing name is an error via
     /// admission of a duplicate — call [`GraphRegistry::unload`] first.
     pub fn install(
         &self,
@@ -467,49 +470,75 @@ impl GraphRegistry {
         Ok(victims)
     }
 
-    /// Load a graph under `name`, building the index with `build` only
-    /// if nobody else is: an already-resident name returns immediately
-    /// ([`LoadOutcome::AlreadyLoaded`]) and a concurrent load of the
-    /// same name blocks on the leader's outcome
-    /// ([`LoadOutcome::Coalesced`]) instead of building twice.
-    pub fn load_with<F>(
-        &self,
-        name: &str,
-        build: F,
-    ) -> Result<(Arc<QueryEngine>, LoadOutcome), RegistryError>
+    /// Load a graph under `name` with its own engine configuration (the
+    /// protocol's `LOAD … CACHE=<n>` option), building the index with
+    /// `build` only if nobody else is: an already-resident name returns
+    /// immediately ([`LoadOutcome::AlreadyLoaded`]) and a concurrent
+    /// load of the same name blocks on the leader's outcome
+    /// ([`LoadOutcome::Coalesced`]) instead of building twice. Loads from
+    /// a server-local file pass [`build_index_from_path`] as `build`.
+    pub fn load<F>(&self, name: &str, engine_config: EngineConfig, build: F) -> LoadResult
     where
         F: FnOnce() -> Result<ScanIndex, String>,
     {
-        self.load_with_config(name, self.config.engine, build)
+        match self.begin_load(name, engine_config, build) {
+            Ok(result) => result,
+            Err(cell) => Self::follower_outcome(name, cell.wait()),
+        }
     }
 
-    /// [`GraphRegistry::load_with`] with a per-graph engine
-    /// configuration (the protocol's `LOAD … CACHE=<n>` option).
-    pub fn load_with_config<F>(
+    /// Event-driven sibling of [`Self::load`] for the reactor's worker
+    /// pool: `notify` fires exactly once — inline on this thread when
+    /// the name is resident or this caller leads the build (the build
+    /// itself runs synchronously here), later on the leader's thread
+    /// when the load coalesces onto someone else's. A worker thread
+    /// therefore never parks on another load's progress.
+    pub fn load_deferred<F>(
         &self,
         name: &str,
         engine_config: EngineConfig,
         build: F,
-    ) -> Result<(Arc<QueryEngine>, LoadOutcome), RegistryError>
+        notify: LoadCallback,
+    ) where
+        F: FnOnce() -> Result<ScanIndex, String>,
+    {
+        match self.begin_load(name, engine_config, build) {
+            Ok(result) => notify(result),
+            Err(cell) => {
+                let name = name.to_string();
+                cell.on_ready(move |outcome| notify(Self::follower_outcome(&name, outcome)));
+            }
+        }
+    }
+
+    /// The one load path behind [`Self::load`] and
+    /// [`Self::load_deferred`]: validate the name, then answer at once
+    /// (already resident, or this caller leads the build) or hand back
+    /// the in-flight leader's cell, counted as a coalesced load.
+    fn begin_load<F>(
+        &self,
+        name: &str,
+        engine_config: EngineConfig,
+        build: F,
+    ) -> Result<LoadResult, Arc<LoadCell>>
     where
         F: FnOnce() -> Result<ScanIndex, String>,
     {
         if let Err(message) = validate_graph_name(name) {
-            return Err(RegistryError::BadName {
+            return Ok(Err(RegistryError::BadName {
                 name: name.into(),
                 message,
-            });
+            }));
         }
-        // Phase 1: register as leader, join as follower, or return early.
         match self.register_load(name) {
-            RegisterLoad::Ready(engine) => Ok((engine, LoadOutcome::AlreadyLoaded)),
+            RegisterLoad::Ready(engine) => Ok(Ok((engine, LoadOutcome::AlreadyLoaded))),
             RegisterLoad::Follower(cell) => {
                 self.counters
                     .coalesced_loads
                     .fetch_add(1, Ordering::Relaxed);
-                Self::follower_outcome(name, cell.wait())
+                Err(cell)
             }
-            RegisterLoad::Leader(cell) => self.lead_load(name, cell, engine_config, build),
+            RegisterLoad::Leader(cell) => Ok(self.lead_load(name, cell, engine_config, build)),
         }
     }
 
@@ -537,7 +566,7 @@ impl GraphRegistry {
     fn follower_outcome(
         name: &str,
         outcome: Option<Result<Arc<GraphEntry>, RegistryError>>,
-    ) -> Result<(Arc<QueryEngine>, LoadOutcome), RegistryError> {
+    ) -> LoadResult {
         match outcome {
             Some(Ok(entry)) => Ok((Arc::clone(&entry.engine), LoadOutcome::Coalesced)),
             Some(Err(e)) => Err(e),
@@ -557,7 +586,7 @@ impl GraphRegistry {
         cell: Arc<LoadCell>,
         engine_config: EngineConfig,
         build: F,
-    ) -> Result<(Arc<QueryEngine>, LoadOutcome), RegistryError>
+    ) -> LoadResult
     where
         F: FnOnce() -> Result<ScanIndex, String>,
     {
@@ -643,63 +672,6 @@ impl GraphRegistry {
         }
     }
 
-    /// Load a graph or persisted index from a server-local file. File
-    /// type is detected by extension exactly as in the CLI: `.pscidx`
-    /// (persisted index), `.bin` (parscan binary graph),
-    /// `.graph`/`.metis` (METIS), anything else a whitespace edge list.
-    /// Graph files are indexed with [`IndexConfig::default`].
-    pub fn load_path(
-        &self,
-        name: &str,
-        path: &str,
-    ) -> Result<(Arc<QueryEngine>, LoadOutcome), RegistryError> {
-        self.load_with(name, || build_index_from_path(path))
-    }
-
-    /// [`GraphRegistry::load_path`] with a per-graph engine config.
-    pub fn load_path_with_config(
-        &self,
-        name: &str,
-        path: &str,
-        engine_config: EngineConfig,
-    ) -> Result<(Arc<QueryEngine>, LoadOutcome), RegistryError> {
-        self.load_with_config(name, engine_config, || build_index_from_path(path))
-    }
-
-    /// Event-driven sibling of [`Self::load_path_with_config`] for the
-    /// reactor's worker pool: `notify` fires exactly once — inline on
-    /// this thread when the name is resident or this caller leads the
-    /// build (the build itself runs synchronously here), later on the
-    /// leader's thread when the load coalesces onto someone else's. A
-    /// worker thread therefore never parks on another load's progress.
-    pub fn load_path_deferred(
-        &self,
-        name: &str,
-        path: &str,
-        engine_config: EngineConfig,
-        notify: LoadCallback,
-    ) {
-        if let Err(message) = validate_graph_name(name) {
-            return notify(Err(RegistryError::BadName {
-                name: name.into(),
-                message,
-            }));
-        }
-        match self.register_load(name) {
-            RegisterLoad::Ready(engine) => notify(Ok((engine, LoadOutcome::AlreadyLoaded))),
-            RegisterLoad::Follower(cell) => {
-                self.counters
-                    .coalesced_loads
-                    .fetch_add(1, Ordering::Relaxed);
-                let name = name.to_string();
-                cell.on_ready(move |outcome| notify(Self::follower_outcome(&name, outcome)));
-            }
-            RegisterLoad::Leader(cell) => {
-                notify(self.lead_load(name, cell, engine_config, || build_index_from_path(path)))
-            }
-        }
-    }
-
     /// Remove a graph. Errors while a load of the same name is in
     /// flight. Returns the freed (estimated) bytes. The default graph
     /// *may* be unloaded — subsequent unaddressed queries then error
@@ -772,19 +744,15 @@ impl GraphRegistry {
     }
 }
 
-/// Extension-dispatched index construction for [`GraphRegistry::load_path`].
-fn build_index_from_path(path: &str) -> Result<ScanIndex, String> {
+/// Build the index for a server-local file, the `build` of a path
+/// [`GraphRegistry::load`]. A `.pscidx` file is a persisted index; any
+/// other path is a graph file read by [`parscan_graph::io::read_graph`]
+/// and indexed with [`IndexConfig::default`].
+pub fn build_index_from_path(path: &str) -> Result<ScanIndex, String> {
     if path.ends_with(".pscidx") {
         return ScanIndex::load(path).map_err(|e| format!("cannot load index {path}: {e}"));
     }
-    let load = if path.ends_with(".bin") {
-        parscan_graph::io::read_binary(path)
-    } else if path.ends_with(".graph") || path.ends_with(".metis") {
-        parscan_graph::metis::read_metis(path)
-    } else {
-        parscan_graph::io::read_edge_list_text(path, None)
-    };
-    let g = load.map_err(|e| format!("cannot read {path}: {e}"))?;
+    let g = parscan_graph::io::read_graph(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     Ok(ScanIndex::build(g, IndexConfig::default()))
 }
 
@@ -979,12 +947,12 @@ mod tests {
             cache_capacity: 16,
             ..r.engine_config()
         };
-        let (engine, _) = r
-            .load_with_config("g", config, || Ok(small_index(1)))
-            .unwrap();
+        let (engine, _) = r.load("g", config, || Ok(small_index(1))).unwrap();
         assert_eq!(engine.stats().cache_capacity, 16);
         // The registry-wide default is unchanged for other graphs.
-        let (other, _) = r.load_with("h", || Ok(small_index(2))).unwrap();
+        let (other, _) = r
+            .load("h", EngineConfig::default(), || Ok(small_index(2)))
+            .unwrap();
         assert_eq!(
             other.stats().cache_capacity,
             RegistryConfig::default().engine.cache_capacity
@@ -994,11 +962,13 @@ mod tests {
     #[test]
     fn load_with_reports_already_loaded() {
         let r = GraphRegistry::new("main", RegistryConfig::default());
-        let (_, outcome) = r.load_with("main", || Ok(small_index(1))).unwrap();
+        let (_, outcome) = r
+            .load("main", EngineConfig::default(), || Ok(small_index(1)))
+            .unwrap();
         assert_eq!(outcome, LoadOutcome::Loaded);
         let built_again = AtomicUsize::new(0);
         let (_, outcome) = r
-            .load_with("main", || {
+            .load("main", EngineConfig::default(), || {
                 built_again.fetch_add(1, Ordering::Relaxed);
                 Ok(small_index(1))
             })
@@ -1011,12 +981,16 @@ mod tests {
     fn failed_load_frees_the_name() {
         let r = GraphRegistry::new("main", RegistryConfig::default());
         let err = r
-            .load_with("g", || Err("synthetic failure".into()))
+            .load("g", EngineConfig::default(), || {
+                Err("synthetic failure".into())
+            })
             .unwrap_err();
         assert!(matches!(err, RegistryError::LoadFailed { .. }), "{err}");
         assert_eq!(r.stats().load_failures, 1);
         // The name is free again; a retry succeeds.
-        let (_, outcome) = r.load_with("g", || Ok(small_index(1))).unwrap();
+        let (_, outcome) = r
+            .load("g", EngineConfig::default(), || Ok(small_index(1)))
+            .unwrap();
         assert_eq!(outcome, LoadOutcome::Loaded);
     }
 
@@ -1035,7 +1009,7 @@ mod tests {
             let r = Arc::clone(&r);
             let gate = Arc::clone(&gate);
             std::thread::spawn(move || {
-                let _ = r.load_with("doomed", || {
+                let _ = r.load("doomed", EngineConfig::default(), || {
                     gate.wait(); // followers may now register
                     std::thread::sleep(Duration::from_millis(40));
                     panic!("build exploded")
@@ -1047,14 +1021,16 @@ mod tests {
         // Blocking follower.
         let blocking = {
             let r = Arc::clone(&r);
-            std::thread::spawn(move || r.load_with("doomed", || Ok(small_index(1))))
+            std::thread::spawn(move || {
+                r.load("doomed", EngineConfig::default(), || Ok(small_index(1)))
+            })
         };
         // Subscribed (reactor-path) follower.
         let (tx, rx) = std::sync::mpsc::channel();
-        r.load_path_deferred(
+        r.load_deferred(
             "doomed",
-            "/nonexistent/never-read.graph",
             EngineConfig::default(),
+            || build_index_from_path("/nonexistent/never-read.graph"),
             Box::new(move |outcome| {
                 tx.send(outcome.map(|(_, o)| o)).unwrap();
             }),
@@ -1074,7 +1050,9 @@ mod tests {
         );
 
         // The name is free again; a retry succeeds.
-        let (_, outcome) = r.load_with("doomed", || Ok(small_index(1))).unwrap();
+        let (_, outcome) = r
+            .load("doomed", EngineConfig::default(), || Ok(small_index(1)))
+            .unwrap();
         assert_eq!(outcome, LoadOutcome::Loaded);
     }
 
@@ -1087,7 +1065,7 @@ mod tests {
             let r = Arc::clone(&r);
             let gate = Arc::clone(&gate);
             std::thread::spawn(move || {
-                r.load_with("shared", || {
+                r.load("shared", EngineConfig::default(), || {
                     gate.wait();
                     std::thread::sleep(Duration::from_millis(30));
                     Ok(small_index(2))
@@ -1097,10 +1075,10 @@ mod tests {
         gate.wait();
 
         let (tx, rx) = std::sync::mpsc::channel();
-        r.load_path_deferred(
+        r.load_deferred(
             "shared",
-            "/nonexistent/never-read.graph",
             EngineConfig::default(),
+            || build_index_from_path("/nonexistent/never-read.graph"),
             Box::new(move |outcome| {
                 tx.send(outcome.map(|(_, o)| o)).unwrap();
             }),
@@ -1127,7 +1105,7 @@ mod tests {
                     s.spawn(move || {
                         barrier.wait();
                         let (_, outcome) = r
-                            .load_with("shared", || {
+                            .load("shared", EngineConfig::default(), || {
                                 builds.fetch_add(1, Ordering::Relaxed);
                                 // Widen the in-flight window so followers
                                 // genuinely coalesce rather than racing
@@ -1171,12 +1149,16 @@ mod tests {
         parscan_graph::io::write_edge_list_text(&g, &path).unwrap();
         let r = GraphRegistry::new("main", RegistryConfig::default());
         let (engine, outcome) = r
-            .load_path("fromfile", path.to_str().unwrap())
+            .load("fromfile", EngineConfig::default(), || {
+                build_index_from_path(path.to_str().unwrap())
+            })
             .expect("load from edge list");
         assert_eq!(outcome, LoadOutcome::Loaded);
         assert_eq!(engine.index().graph().num_vertices(), 80);
         assert!(matches!(
-            r.load_path("nope", "/definitely/not/here.txt"),
+            r.load("nope", EngineConfig::default(), || {
+                build_index_from_path("/definitely/not/here.txt")
+            }),
             Err(RegistryError::LoadFailed { .. })
         ));
         let _ = std::fs::remove_file(&path);

@@ -6,19 +6,19 @@
 //! Requests are newline-terminated lines, each resolved against the
 //! shared [`GraphRegistry`] (the default graph unless the request
 //! carries an `@name` address) and answered with one JSON line. The
-//! per-connection state machine lives in the private `conn` module; this
-//! module owns the protocol dispatch (`handle_request`), server-wide
-//! state, and the public `serve*` entry points. `shutdown()` (or a
+//! per-connection state machine lives in the private `conn` module and
+//! the dispatcher in `reactor`; this module owns the synchronous
+//! answerer (`handle_request`), server-wide state, and the public
+//! [`serve`] entry point. `shutdown()` (or a
 //! client's `SHUTDOWN` command) flips the flag and wakes the reactor,
 //! which stops accepting, lets the in-flight request finish, flushes
 //! buffered responses under a bounded grace, and snapshots dirty graphs
 //! before exiting — no response is dropped mid-write.
 
 use crate::batch::BatchExecutor;
-use crate::engine::QueryEngine;
 use crate::protocol::{FaultStats, ReactorStats, Request, Response, StatsGraph, StoreStats};
 use crate::reactor::{Completions, JobQueue, Reactor, ReactorMetrics, ServeConfig};
-use crate::registry::{GraphRegistry, LoadOutcome, RegistryError};
+use crate::registry::{GraphRegistry, LoadOutcome, LoadResult};
 use parscan_store::{AuditKind, IndexStore};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,7 +30,7 @@ use std::time::Instant;
 pub(crate) struct ServerShared {
     pub(crate) registry: Arc<GraphRegistry>,
     /// The durable store, when the server was started with one
-    /// ([`serve_with_store`]); enables `SAVE` and manifest-aware
+    /// ([`serve`]); enables `SAVE` and manifest-aware
     /// `LIST`/`STATS`.
     pub(crate) store: Option<Arc<IndexStore>>,
     pub(crate) shutdown: AtomicBool,
@@ -99,15 +99,6 @@ impl ServerShared {
             session_requests,
         }
     }
-
-    /// Manifest names for `LIST` (`None` on storeless servers).
-    fn persisted_names(&self) -> Option<Vec<String>> {
-        self.store.as_ref().map(|s| {
-            let mut names: Vec<String> = s.entries().into_iter().map(|e| e.name).collect();
-            names.sort();
-            names
-        })
-    }
 }
 
 /// Snapshot every still-resident graph whose index was mutated since
@@ -148,16 +139,6 @@ impl ServerHandle {
         &self.shared.registry
     }
 
-    /// The default graph's engine. Panics if the default graph has been
-    /// unloaded — use [`ServerHandle::registry`] for fallible access.
-    pub fn engine(&self) -> Arc<QueryEngine> {
-        self.shared
-            .registry
-            .get(None)
-            .expect("default graph is resident")
-            .1
-    }
-
     /// Request shutdown and block until the reactor (and every worker it
     /// owns) has exited.
     pub fn shutdown(mut self) {
@@ -176,66 +157,32 @@ impl ServerHandle {
             let _ = t.join();
         }
     }
-
-    /// Whether shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
 }
 
-/// Bind `addr` and serve every graph in `registry` until shutdown, with
-/// default [`ServeConfig`] bounds. Returns once the listener is bound
-/// and accepting, so callers may connect immediately.
+/// Bind `addr` and serve every graph in `registry` until shutdown,
+/// within the reactor and admission-control bounds of `config`. Returns
+/// once the listener is bound and accepting, so callers may connect
+/// immediately.
+///
+/// With a durable `store` the server enables the `SAVE` verb, audits
+/// every LOAD/SAVE/UNLOAD/EVICT (evictions through the registry's evict
+/// hook), and surfaces the persisted working set through `LIST`/`STATS`.
+/// Callers typically run [`warm_boot`](crate::boot::warm_boot) on the
+/// registry first.
 pub fn serve(
     registry: Arc<GraphRegistry>,
-    addr: impl ToSocketAddrs,
-) -> std::io::Result<ServerHandle> {
-    serve_inner(registry, addr, None, ServeConfig::default())
-}
-
-/// [`serve`] with explicit reactor and admission-control bounds.
-pub fn serve_with_config(
-    registry: Arc<GraphRegistry>,
-    addr: impl ToSocketAddrs,
-    config: ServeConfig,
-) -> std::io::Result<ServerHandle> {
-    serve_inner(registry, addr, None, config)
-}
-
-/// [`serve`] backed by a durable [`IndexStore`]: enables the `SAVE`
-/// protocol verb, audits every LOAD/SAVE/UNLOAD/EVICT, and surfaces the
-/// persisted working set through `LIST`/`STATS`. Callers typically run
-/// [`warm_boot`](crate::boot::warm_boot) on the registry first.
-pub fn serve_with_store(
-    registry: Arc<GraphRegistry>,
-    store: Arc<IndexStore>,
-    addr: impl ToSocketAddrs,
-) -> std::io::Result<ServerHandle> {
-    serve_with_store_and_config(registry, store, addr, ServeConfig::default())
-}
-
-/// [`serve_with_store`] with explicit reactor bounds.
-pub fn serve_with_store_and_config(
-    registry: Arc<GraphRegistry>,
-    store: Arc<IndexStore>,
-    addr: impl ToSocketAddrs,
-    config: ServeConfig,
-) -> std::io::Result<ServerHandle> {
-    // Evictions happen inside registry admission, far from any protocol
-    // handler — the hook routes them into the audit log.
-    let audit_store = Arc::clone(&store);
-    registry.set_evict_hook(Box::new(move |name| {
-        let _ = audit_store.record(AuditKind::Evict, Some(name), "reason=budget");
-    }));
-    serve_inner(registry, addr, Some(store), config)
-}
-
-fn serve_inner(
-    registry: Arc<GraphRegistry>,
-    addr: impl ToSocketAddrs,
     store: Option<Arc<IndexStore>>,
+    addr: impl ToSocketAddrs,
     config: ServeConfig,
 ) -> std::io::Result<ServerHandle> {
+    if let Some(store) = &store {
+        // Evictions happen inside registry admission, far from any
+        // protocol handler — the hook routes them into the audit log.
+        let audit_store = Arc::clone(store);
+        registry.set_evict_hook(Box::new(move |name| {
+            let _ = audit_store.record(AuditKind::Evict, Some(name), "reason=budget");
+        }));
+    }
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let workers = config.effective_workers();
@@ -261,16 +208,6 @@ fn serve_inner(
     })
 }
 
-/// Convenience: serve a single engine as the default graph `"default"`
-/// with no byte budget — the single-graph shape of PR 1. Clients may
-/// still `LOAD` more graphs at runtime.
-pub fn serve_engine(
-    engine: Arc<QueryEngine>,
-    addr: impl ToSocketAddrs,
-) -> std::io::Result<ServerHandle> {
-    serve(GraphRegistry::single(engine), addr)
-}
-
 /// What the connection should do after its response is written.
 pub(crate) enum Control {
     Continue,
@@ -279,14 +216,14 @@ pub(crate) enum Control {
 }
 
 /// Build the `LOAD` acknowledgement (and audit record) from a load's
-/// result — shared by the synchronous path in [`handle_request`] and
-/// the deferred-follower callback in the reactor's worker pool.
+/// result; the reactor's deferred-load callback calls it on whichever
+/// thread the load settles.
 pub(crate) fn load_response(
     shared: &ServerShared,
     name: String,
     path: &str,
     start: Instant,
-    result: Result<(Arc<QueryEngine>, LoadOutcome), RegistryError>,
+    result: LoadResult,
 ) -> Response {
     match result {
         Ok((engine, outcome)) => {
@@ -322,67 +259,55 @@ pub(crate) fn load_response(
     }
 }
 
-/// Dispatch one parsed request. `CLUSTER` and `LOAD` take this
-/// synchronous path only as a fallback — the worker pool routes them
-/// through the deferred engine/registry entry points so coalesced
-/// followers don't hold a worker thread.
+/// The synchronous answerer: every verb except `CLUSTER` and `LOAD`,
+/// which the reactor's dispatcher runs deferred so that coalesced
+/// followers never hold a worker thread. The non-`CLUSTER` items of a
+/// `BATCH` come back here through the [`BatchExecutor`], so a batched
+/// verb is answered exactly as a top-level one.
 pub(crate) fn handle_request(
-    request: Request,
-    shared: &Arc<ServerShared>,
+    request: &Request,
+    shared: &ServerShared,
     session_requests: u64,
 ) -> (Response, Control) {
     let registry = &shared.registry;
     // Resolve a query's graph address to its engine, turning registry
     // errors (unknown name, still loading) into protocol error messages.
-    let resolve = |graph: Option<&str>| registry.get(graph).map_err(|e| e.to_string());
-    match request {
-        Request::Ping => (Response::Pong, Control::Continue),
-        Request::Stats { graph } => (
-            shared.stats_response(graph.as_deref(), session_requests),
-            Control::Continue,
-        ),
-        Request::List => (
-            Response::List {
-                default: registry.default_name().to_string(),
-                graphs: registry.list(),
-                persisted: shared.persisted_names(),
-            },
-            Control::Continue,
-        ),
-        Request::Load { name, path, cache } => {
-            let start = Instant::now();
-            let config = crate::engine::EngineConfig {
-                cache_capacity: cache.unwrap_or(registry.engine_config().cache_capacity),
-                ..registry.engine_config()
-            };
-            let result = registry.load_path_with_config(&name, &path, config);
-            (
-                load_response(shared, name, &path, start, result),
-                Control::Continue,
-            )
-        }
-        Request::Unload { name } => (
-            match registry.unload(&name) {
-                Ok(bytes_freed) => {
-                    // An explicit UNLOAD also removes the graph from the
-                    // persisted working set — the operator said "forget
-                    // this graph", and a later warm boot must respect
-                    // that. (Evictions, by contrast, leave the manifest
-                    // alone: boot re-admits whatever fits the budget.)
-                    if let Some(store) = &shared.store {
-                        let _ = store.forget(&name);
-                    }
-                    Response::Unloaded { name, bytes_freed }
+    let resolve =
+        |graph: &Option<String>| registry.get(graph.as_deref()).map_err(|e| e.to_string());
+    let response = match request {
+        Request::Ping => Response::Pong,
+        Request::Stats { graph } => shared.stats_response(graph.as_deref(), session_requests),
+        Request::List => Response::List {
+            default: registry.default_name().to_string(),
+            graphs: registry.list(),
+            persisted: shared.store.as_ref().map(|s| {
+                let mut names: Vec<String> = s.entries().into_iter().map(|e| e.name).collect();
+                names.sort();
+                names
+            }),
+        },
+        Request::Unload { name } => match registry.unload(name) {
+            Ok(bytes_freed) => {
+                // An explicit UNLOAD also removes the graph from the
+                // persisted working set — the operator said "forget this
+                // graph", and a later warm boot must respect that.
+                // (Evictions, by contrast, leave the manifest alone: boot
+                // re-admits whatever fits the budget.)
+                if let Some(store) = &shared.store {
+                    let _ = store.forget(name);
                 }
-                Err(e) => Response::Error {
-                    message: e.to_string(),
-                },
+                Response::Unloaded {
+                    name: name.clone(),
+                    bytes_freed,
+                }
+            }
+            Err(e) => Response::Error {
+                message: e.to_string(),
             },
-            Control::Continue,
-        ),
+        },
         Request::Save { graph } => {
             let start = Instant::now();
-            let response = match &shared.store {
+            match &shared.store {
                 None => Response::Error {
                     message: "this server has no durable store (start it with --store-dir)".into(),
                 },
@@ -411,115 +336,82 @@ pub(crate) fn handle_request(
                         message: e.to_string(),
                     },
                 },
-            };
-            (response, Control::Continue)
+            }
         }
-        Request::Cluster {
-            graph,
-            params,
-            full,
-        } => (
-            match resolve(graph.as_deref()) {
-                Ok((canonical, engine)) => match engine.try_cluster(params) {
-                    Ok(outcome) => Response::Cluster {
-                        graph: canonical,
-                        params,
-                        outcome,
-                        full,
-                    },
-                    Err(abandoned) => Response::Retryable {
-                        message: abandoned.to_string(),
-                        reason: "coalesce",
-                    },
-                },
-                Err(message) => Response::Error { message },
-            },
-            Control::Continue,
-        ),
         Request::Probe {
             graph,
             vertex,
             params,
-        } => (
-            match resolve(graph.as_deref()) {
-                Ok((canonical, engine)) => match engine.probe(vertex, params) {
-                    Ok(probe) => Response::Probe {
-                        graph: canonical,
-                        vertex,
-                        params,
-                        probe,
-                    },
-                    Err(message) => Response::Error { message },
-                },
-                Err(message) => Response::Error { message },
+        } => match resolve(graph)
+            .and_then(|(canonical, engine)| Ok((canonical, engine.probe(*vertex, *params)?)))
+        {
+            Ok((canonical, probe)) => Response::Probe {
+                graph: canonical,
+                vertex: *vertex,
+                params: *params,
+                probe,
             },
-            Control::Continue,
-        ),
-        Request::Sweep { graph, eps_step } => (
-            match resolve(graph.as_deref()) {
-                Ok((canonical, engine)) => match engine.sweep_best(eps_step) {
-                    Ok(best) => Response::Sweep {
-                        graph: canonical,
-                        best,
-                    },
-                    Err(message) => Response::Error { message },
-                },
-                Err(message) => Response::Error { message },
+            Err(message) => Response::Error { message },
+        },
+        Request::Sweep { graph, eps_step } => match resolve(graph)
+            .and_then(|(canonical, engine)| Ok((canonical, engine.sweep_best(*eps_step)?)))
+        {
+            Ok((canonical, best)) => Response::Sweep {
+                graph: canonical,
+                best,
             },
-            Control::Continue,
-        ),
-        Request::Apply { graph, batch } => (
-            match resolve(graph.as_deref()) {
-                Ok((canonical, engine)) => match engine.apply_update(&batch) {
-                    Ok(outcome) => {
-                        // A mutation makes the resident index newer than
-                        // any snapshot: mark the graph dirty so SAVE (or
-                        // the shutdown sweep) persists it, and audit the
-                        // mutation like loads/saves.
-                        if outcome.changed {
-                            if let Some(store) = &shared.store {
-                                store.mark_dirty(&canonical);
-                                let _ = store.record(
-                                    AuditKind::Mutate,
-                                    Some(&canonical),
-                                    &format!(
-                                        "epoch={} ins={} del={} rew={} changed={} n={} m={}",
-                                        outcome.epoch,
-                                        outcome.inserted,
-                                        outcome.deleted,
-                                        outcome.reweighted,
-                                        outcome.changed_edges,
-                                        outcome.n,
-                                        outcome.m
-                                    ),
-                                );
-                            }
-                        }
-                        Response::Applied {
-                            graph: canonical,
-                            outcome,
-                        }
-                    }
-                    Err(message) => Response::Error { message },
-                },
-                Err(message) => Response::Error { message },
-            },
-            Control::Continue,
-        ),
-        Request::Batch(inner) => {
-            let responses = BatchExecutor::new(registry)
-                .execute(&inner, |g| shared.stats_response(g, session_requests));
-            (Response::Batch(responses), Control::Continue)
+            Err(message) => Response::Error { message },
+        },
+        Request::Apply { graph, batch } => match resolve(graph)
+            .and_then(|(canonical, engine)| Ok((canonical, engine.apply_update(batch)?)))
+        {
+            Ok((canonical, outcome)) => {
+                // A mutation makes the resident index newer than any
+                // snapshot: mark the graph dirty so SAVE (or the shutdown
+                // sweep) persists it, and audit the mutation like
+                // loads/saves.
+                if let (true, Some(store)) = (outcome.changed, &shared.store) {
+                    store.mark_dirty(&canonical);
+                    let _ = store.record(
+                        AuditKind::Mutate,
+                        Some(&canonical),
+                        &format!(
+                            "epoch={} ins={} del={} rew={} changed={} n={} m={}",
+                            outcome.epoch,
+                            outcome.inserted,
+                            outcome.deleted,
+                            outcome.reweighted,
+                            outcome.changed_edges,
+                            outcome.n,
+                            outcome.m
+                        ),
+                    );
+                }
+                Response::Applied {
+                    graph: canonical,
+                    outcome,
+                }
+            }
+            Err(message) => Response::Error { message },
+        },
+        Request::Batch(items) => {
+            Response::Batch(BatchExecutor::new(registry).execute(items, |item| {
+                handle_request(item, shared, session_requests).0
+            }))
         }
-        Request::Quit => (Response::Bye { shutdown: false }, Control::Close),
-        Request::Shutdown => (Response::Bye { shutdown: true }, Control::ShutdownServer),
-    }
+        Request::Quit => return (Response::Bye { shutdown: false }, Control::Close),
+        Request::Shutdown => return (Response::Bye { shutdown: true }, Control::ShutdownServer),
+        Request::Cluster { .. } | Request::Load { .. } => {
+            unreachable!("the reactor's dispatcher runs CLUSTER and LOAD deferred")
+        }
+    };
+    (response, Control::Continue)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineConfig;
+    use crate::engine::{EngineConfig, QueryEngine};
     use parscan_core::{IndexConfig, ScanIndex};
     use parscan_graph::generators;
     use std::io::{BufRead, BufReader, Write};
@@ -532,7 +424,13 @@ mod tests {
             Arc::new(ScanIndex::build(g, IndexConfig::default())),
             EngineConfig::default(),
         ));
-        serve_engine(engine, "127.0.0.1:0").expect("bind")
+        serve(
+            GraphRegistry::single(engine),
+            None,
+            "127.0.0.1:0",
+            ServeConfig::default(),
+        )
+        .expect("bind")
     }
 
     fn roundtrip(addr: SocketAddr, lines: &[&str]) -> Vec<String> {
@@ -605,7 +503,13 @@ mod tests {
             Arc::new(ScanIndex::build(g, IndexConfig::default())),
             EngineConfig::default(),
         ));
-        let server = serve_engine(engine, "127.0.0.1:0").expect("bind");
+        let server = serve(
+            GraphRegistry::single(engine),
+            None,
+            "127.0.0.1:0",
+            ServeConfig::default(),
+        )
+        .expect("bind");
         let out = roundtrip(
             server.addr(),
             &[
@@ -723,8 +627,13 @@ mod tests {
                 .unwrap();
             Arc::new(r)
         };
-        let server =
-            serve_with_store(Arc::clone(&registry), Arc::clone(&store), "127.0.0.1:0").unwrap();
+        let server = serve(
+            Arc::clone(&registry),
+            Some(Arc::clone(&store)),
+            "127.0.0.1:0",
+            ServeConfig::default(),
+        )
+        .unwrap();
         let out = roundtrip(server.addr(), &["SAVE", "LIST", "STATS", "QUIT"]);
         assert!(
             out[0].contains(r#""op":"save""#) && out[0].contains(r#""graph":"default""#),

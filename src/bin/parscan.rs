@@ -105,14 +105,7 @@ fn parse<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>,
 }
 
 fn load_graph(path: &str) -> Result<CsrGraph, String> {
-    let load = if path.ends_with(".bin") {
-        parscan::graph::io::read_binary(path)
-    } else if path.ends_with(".graph") || path.ends_with(".metis") {
-        parscan::graph::metis::read_metis(path)
-    } else {
-        parscan::graph::io::read_edge_list_text(path, None)
-    };
-    load.map_err(|e| format!("cannot read {path}: {e}"))
+    parscan::graph::io::read_graph(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
 fn write_graph(g: &CsrGraph, path: &str) -> Result<(), String> {
@@ -284,7 +277,8 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    use parscan::server::{serve_with_config, serve_with_store_and_config, warm_boot, ServeConfig};
+    use parscan::server::registry::build_index_from_path;
+    use parscan::server::{serve, warm_boot, ServeConfig};
     use parscan::store::IndexStore;
     use std::sync::Arc;
 
@@ -386,18 +380,19 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .ok_or_else(|| format!("--graph expects NAME=PATH, got {spec:?}"))?;
         // A name the warm boot already restored reports AlreadyLoaded:
         // the snapshot wins over rebuilding from the path.
-        registry.load_path(name, gpath).map_err(|e| e.to_string())?;
+        registry
+            .load(name, registry.engine_config(), || {
+                build_index_from_path(gpath)
+            })
+            .map_err(|e| e.to_string())?;
     }
 
-    let server = match &store {
-        Some(store) => serve_with_store_and_config(
-            Arc::clone(&registry),
-            Arc::clone(store),
-            (host.as_str(), port),
-            serve_config,
-        ),
-        None => serve_with_config(Arc::clone(&registry), (host.as_str(), port), serve_config),
-    }
+    let server = serve(
+        Arc::clone(&registry),
+        store.clone(),
+        (host.as_str(), port),
+        serve_config,
+    )
     .map_err(|e| format!("cannot bind {host}:{port}: {e}"))?;
     let stats = registry.stats();
     println!(

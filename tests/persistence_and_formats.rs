@@ -82,9 +82,9 @@ fn format_conversion_preserves_clusterings() {
     // text ⇄ metis ⇄ binary all describe the same graph, hence the same
     // SCAN output.
     let (g, _) = parscan::graph::generators::planted_partition(300, 3, 9.0, 1.0, 13);
-    let p_text = tmp("conv.txt");
-    let p_metis = tmp("conv.graph");
-    let p_bin = tmp("conv.bin");
+    let p_text = tmp("conv").with_extension("txt");
+    let p_metis = tmp("conv").with_extension("graph");
+    let p_bin = tmp("conv").with_extension("bin");
     parscan::graph::io::write_edge_list_text(&g, &p_text).unwrap();
     parscan::graph::metis::write_metis(&g, &p_metis).unwrap();
     parscan::graph::io::write_binary(&g, &p_bin).unwrap();
@@ -94,6 +94,14 @@ fn format_conversion_preserves_clusterings() {
     let from_bin = parscan::graph::io::read_binary(&p_bin).unwrap();
     assert_eq!(from_text, from_metis);
     assert_eq!(from_text, from_bin);
+    // The extension dispatch shared by the CLI and the server's LOAD
+    // picks the matching reader for each extension.
+    let p_metis_alt = tmp("conv").with_extension("metis");
+    std::fs::copy(&p_metis, &p_metis_alt).unwrap();
+    for p in [&p_text, &p_metis, &p_metis_alt, &p_bin] {
+        let read = parscan::graph::io::read_graph(p.to_str().unwrap()).unwrap();
+        assert_eq!(read, from_text, "{}", p.display());
+    }
 
     let params = QueryParams::new(3, 0.5);
     let reference = ScanIndex::build(g, IndexConfig::default())
@@ -103,7 +111,7 @@ fn format_conversion_preserves_clusterings() {
             .cluster_with(params, BorderAssignment::MostSimilar);
         assert_eq!(c, reference);
     }
-    for p in [p_text, p_metis, p_bin] {
+    for p in [p_text, p_metis, p_metis_alt, p_bin] {
         std::fs::remove_file(p).ok();
     }
 }

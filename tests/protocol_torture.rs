@@ -8,9 +8,7 @@
 //! requests, in request order).
 
 use parscan::prelude::*;
-use parscan::server::{
-    serve_with_config, GraphRegistry, RegistryConfig, ServeConfig, ServerHandle,
-};
+use parscan::server::{serve, GraphRegistry, RegistryConfig, ServeConfig, ServerHandle};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -33,7 +31,7 @@ fn torture_server(config: ServeConfig) -> ServerHandle {
     registry
         .install("primary", ScanIndex::build(g, IndexConfig::default()))
         .unwrap();
-    serve_with_config(registry, "127.0.0.1:0", config).expect("bind torture server")
+    serve(registry, None, "127.0.0.1:0", config).expect("bind torture server")
 }
 
 fn roundtrip(session: &mut BufReader<TcpStream>, line: &str) -> String {

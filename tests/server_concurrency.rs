@@ -4,7 +4,7 @@
 //! public facade.
 
 use parscan::prelude::*;
-use parscan::server::{serve_engine, EngineStats, Request, Response};
+use parscan::server::{EngineStats, Request, Response};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -75,7 +75,13 @@ fn wire_cores(c: &Clustering) -> Vec<i64> {
 #[test]
 fn concurrent_clients_match_direct_queries() {
     let (index, engine) = build_engine(64);
-    let server = serve_engine(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
+    let server = serve(
+        GraphRegistry::single(Arc::clone(&engine)),
+        None,
+        "127.0.0.1:0",
+        ServeConfig::default(),
+    )
+    .expect("bind");
     let addr = server.addr();
 
     // Each client thread issues every (μ, ε) point, interleaving with the
@@ -141,7 +147,13 @@ fn concurrent_clients_match_direct_queries() {
 #[test]
 fn batch_over_tcp_matches_direct_queries() {
     let (index, engine) = build_engine(64);
-    let server = serve_engine(engine, "127.0.0.1:0").expect("bind");
+    let server = serve(
+        GraphRegistry::single(engine),
+        None,
+        "127.0.0.1:0",
+        ServeConfig::default(),
+    )
+    .expect("bind");
 
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream

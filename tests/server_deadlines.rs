@@ -1,8 +1,9 @@
 //! Deadline, watchdog, and idle-reaper torture for the reactor server,
-//! plus the bounded coalescer-abandonment test (relocated here from the
-//! engine's unit tests: it arms the process-global failpoint registry,
-//! so it needs a test binary whose other tests never run an in-process
-//! engine concurrently).
+//! plus the coalescer-abandonment tests (in-process engine and
+//! in-process TCP server). Those two arm the process-global failpoint
+//! registry, so they need a test binary whose other tests never run an
+//! in-process engine concurrently, and they serialize on
+//! [`FaultGuard`] so that neither disarms the other's failpoint.
 //!
 //! The serving tests drive the *real* binary (`CARGO_BIN_EXE_parscan`)
 //! with the resilience flags; worker occupancy is made deterministic by
@@ -15,7 +16,8 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::{Child, Command, Stdio};
-use std::sync::{Arc, Barrier};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 struct ServerProc {
@@ -330,14 +332,40 @@ fn saturated_watchdog_sheds_new_work_until_workers_recover() {
     let _ = std::fs::remove_file(&graph);
 }
 
-/// The bounded coalescer-abandonment path, driven in-process: with
+/// Holds the lock shared by every test here that arms the
+/// process-global failpoint registry, and disarms `engine.compute` when
+/// dropped — also when the test fails.
+struct FaultGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+impl FaultGuard {
+    fn new() -> FaultGuard {
+        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+        // Lock first: disarming before the lock is held would disarm the
+        // failpoint of whichever test holds it right now.
+        let lock = LOCK
+            .get_or_init(|| Mutex::new(()))
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        failpoint::remove("engine.compute");
+        FaultGuard(lock)
+    }
+}
+
+impl Drop for FaultGuard {
+    fn drop(&mut self) {
+        failpoint::remove("engine.compute");
+    }
+}
+
+/// The coalescer-abandonment path, driven in-process: with
 /// `engine.compute` armed to always panic, every coalescing leader dies,
-/// followers retry at most [`MAX_LEADER_RETRIES`] times, and each caller
-/// either observes the leader panic itself or gets the typed
-/// [`CoalesceAbandoned`] error — never an `Ok`, and never an unbounded
-/// retry convoy (this test *finishing* is the boundedness proof).
+/// each follower gets the typed [`CoalesceAbandoned`] error at once, and
+/// each caller either observes the leader panic itself or gets that
+/// error — never an `Ok`, and never a retry convoy (this test
+/// *finishing* is the boundedness proof).
 #[test]
 fn always_panicking_leaders_abandon_with_a_typed_retryable_error() {
+    let _faults = FaultGuard::new();
     let (g, _) = parscan::graph::generators::planted_partition(200, 4, 9.0, 1.0, 11);
     let engine = Arc::new(QueryEngine::new(
         Arc::new(ScanIndex::build(g, IndexConfig::default())),
@@ -390,4 +418,116 @@ fn always_panicking_leaders_abandon_with_a_typed_retryable_error() {
         stats.cluster_requests,
         "{stats:?}"
     );
+}
+
+/// Set once a leader has panicked at `engine.compute` and is parked in
+/// the panic hook, still holding its coalescing slot.
+static LEADER_PARKED: AtomicBool = AtomicBool::new(false);
+/// Lets the parked leader finish unwinding.
+static RELEASE_LEADER: AtomicBool = AtomicBool::new(false);
+
+/// The same abandonment over the wire, on an in-process server: one
+/// `CLUSTER` leads and panics at `engine.compute`; a panic hook parks it
+/// (slot still registered) until identical `CLUSTER` lines on other
+/// connections and a `BATCH` holding the same `CLUSTER` have coalesced
+/// onto it. Every answer is the leader's internal error or the
+/// retryable `"coalesce"` error, whose message is the same text on
+/// `CLUSTER` and inside `BATCH`; none is a clustering. Disarmed, the
+/// server answers normally again.
+#[test]
+fn abandoned_coalescing_is_retryable_on_the_wire_and_in_batches() {
+    let _faults = FaultGuard::new();
+    let (g, _) = parscan::graph::generators::planted_partition(200, 4, 9.0, 1.0, 11);
+    let registry = Arc::new(GraphRegistry::new("main", RegistryConfig::default()));
+    registry
+        .install("main", ScanIndex::build(g, IndexConfig::default()))
+        .unwrap();
+    let config = ServeConfig {
+        workers: 4,
+        ..Default::default()
+    };
+    let server = serve(Arc::clone(&registry), None, "127.0.0.1:0", config).expect("bind");
+    let (_, engine) = registry.get(None).unwrap();
+
+    let previous_hook = Arc::new(std::panic::take_hook());
+    let hook_fallback = Arc::clone(&previous_hook);
+    std::panic::set_hook(Box::new(move |info| {
+        let injected = info
+            .payload()
+            .downcast_ref::<String>()
+            .is_some_and(|m| m.contains("engine.compute"));
+        if !injected {
+            return hook_fallback(info);
+        }
+        LEADER_PARKED.store(true, Ordering::SeqCst);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !RELEASE_LEADER.load(Ordering::SeqCst) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }));
+    failpoint::configure("engine.compute", "panic").unwrap();
+
+    let mut leader = connect(server.addr());
+    ask(&mut leader, "CLUSTER 3 0.4");
+    let parked_by = Instant::now() + Duration::from_secs(10);
+    while !LEADER_PARKED.load(Ordering::SeqCst) {
+        assert!(
+            Instant::now() < parked_by,
+            "the leader never reached compute"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    const FOLLOWERS: usize = 4;
+    let mut followers: Vec<_> = (0..FOLLOWERS)
+        .map(|_| {
+            let mut session = connect(server.addr());
+            ask(&mut session, "CLUSTER 3 0.4");
+            session
+        })
+        .collect();
+    let mut batch = connect(server.addr());
+    ask(&mut batch, "BATCH CLUSTER 3 0.4");
+    // Every follower has entered the engine (the BATCH last); give the
+    // final one a moment to reach the in-flight table.
+    let entered_by = Instant::now() + Duration::from_secs(10);
+    while engine.stats().cluster_requests < 2 + FOLLOWERS as u64 {
+        assert!(Instant::now() < entered_by, "{:?}", engine.stats());
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    std::thread::sleep(Duration::from_millis(50));
+    RELEASE_LEADER.store(true, Ordering::SeqCst);
+
+    let internal = r#"{"ok":false,"op":"error","retryable":false,"message":"internal error: request handler produced no response"}"#;
+    let coalesce = format!(
+        r#"{{"ok":false,"op":"error","retryable":true,"reason":"coalesce","message":"{CoalesceAbandoned}"}}"#
+    );
+    assert_eq!(answer(&mut leader).trim_end(), internal);
+    for session in &mut followers {
+        assert_eq!(answer(session).trim_end(), coalesce);
+    }
+    assert_eq!(
+        answer(&mut batch).trim_end(),
+        format!(r#"{{"ok":true,"op":"batch","results":[{coalesce}]}}"#)
+    );
+
+    failpoint::remove("engine.compute");
+    std::panic::set_hook(Box::new(move |info| previous_hook(info)));
+    ask(&mut leader, "PING");
+    assert!(answer(&mut leader).contains(r#""op":"pong""#));
+    ask(&mut leader, "CLUSTER 3 0.4");
+    let clustered = answer(&mut leader);
+    assert!(
+        clustered.contains(r#""ok":true,"op":"cluster""#)
+            && clustered.contains(r#""cached":false"#),
+        "{clustered}"
+    );
+    // Ledger: every request is a hit or a miss except the leader's,
+    // whose computation panicked before it could record one.
+    let stats = engine.stats();
+    assert_eq!(stats.cluster_requests, 3 + FOLLOWERS as u64, "{stats:?}");
+    assert_eq!(
+        stats.cache_hits + stats.cache_misses + 1,
+        stats.cluster_requests
+    );
+    server.shutdown();
 }

@@ -5,7 +5,6 @@
 //! facade, exactly as an external client would drive it.
 
 use parscan::prelude::*;
-use parscan::server::serve;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -62,7 +61,7 @@ fn boot_registry(byte_budget: Option<usize>) -> (Arc<GraphRegistry>, CsrGraph) {
 #[test]
 fn load_list_query_by_name_round_trip() {
     let (registry, _) = boot_registry(None);
-    let server = serve(registry, "127.0.0.1:0").expect("bind");
+    let server = serve(registry, None, "127.0.0.1:0", ServeConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr());
 
     // One graph at boot.
@@ -149,7 +148,13 @@ fn byte_budget_evicts_over_the_wire() {
         ScanIndex::build(g, IndexConfig::default()).memory_bytes()
     };
     let (registry, _) = boot_registry(Some(boot_bytes * 5 / 2));
-    let server = serve(Arc::clone(&registry), "127.0.0.1:0").expect("bind");
+    let server = serve(
+        Arc::clone(&registry),
+        None,
+        "127.0.0.1:0",
+        ServeConfig::default(),
+    )
+    .expect("bind");
     let mut client = Client::connect(server.addr());
 
     let (path_a, _) = graph_file("evict-a", 300, 4, 1);
@@ -189,7 +194,7 @@ fn persisted_index_loads_by_extension() {
         std::env::temp_dir().join(format!("parscan-multigraph-{}.pscidx", std::process::id()));
     index.save(path.to_str().unwrap()).expect("save index");
 
-    let server = serve(registry, "127.0.0.1:0").expect("bind");
+    let server = serve(registry, None, "127.0.0.1:0", ServeConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr());
     let loaded = client.request(&format!("LOAD persisted {}", path.display()));
     assert!(loaded.contains(r#""status":"loaded""#), "{loaded}");
@@ -207,4 +212,33 @@ fn persisted_index_loads_by_extension() {
     client.request("QUIT");
     server.shutdown();
     let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn batched_list_on_a_store_backed_server_matches_top_level_list() {
+    let (registry, _) = boot_registry(None);
+    let dir = std::env::temp_dir().join(format!("parscan-multigraph-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(IndexStore::open(&dir).expect("open store"));
+    let server = serve(registry, Some(store), "127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let mut client = Client::connect(server.addr());
+    let saved = client.request("SAVE");
+    assert!(saved.contains(r#""op":"save""#), "{saved}");
+
+    let list = client.request("LIST");
+    assert!(list.contains(r#""persisted":["boot"]"#), "{list}");
+    // A batched LIST is answered exactly as a top-level one, persisted
+    // set included.
+    let batch = client.request("BATCH LIST ; PING");
+    assert_eq!(
+        batch.trim_end(),
+        format!(
+            r#"{{"ok":true,"op":"batch","results":[{},{{"ok":true,"op":"pong"}}]}}"#,
+            list.trim_end()
+        )
+    );
+
+    client.request("QUIT");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -11,7 +11,7 @@
 //! default is 10000.
 
 use parscan::prelude::*;
-use parscan::server::{serve_with_config, GraphRegistry, RegistryConfig, ServeConfig};
+use parscan::server::{serve, GraphRegistry, RegistryConfig, ServeConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::process::{Child, Command, Stdio};
@@ -267,8 +267,9 @@ fn small_registry(n: usize, seed: u64) -> Arc<GraphRegistry> {
 
 #[test]
 fn connection_limit_sheds_with_a_typed_response() {
-    let server = serve_with_config(
+    let server = serve(
         small_registry(120, 3),
+        None,
         "127.0.0.1:0",
         ServeConfig {
             max_connections: 8,
@@ -335,8 +336,9 @@ fn queue_overflow_sheds_requests_without_hanging_in_flight_work() {
     // request after that must shed immediately.
     let fifo_a = FifoGraph::new("queue-a");
     let fifo_b = FifoGraph::new("queue-b");
-    let server = serve_with_config(
+    let server = serve(
         small_registry(120, 9),
+        None,
         "127.0.0.1:0",
         ServeConfig {
             workers: 1,
@@ -413,8 +415,9 @@ fn pipelined_sheds_preserve_response_order() {
     // responses in request order even when some of them are sheds.
     let fifo_a = FifoGraph::new("pipe-a");
     let fifo_b = FifoGraph::new("pipe-b");
-    let server = serve_with_config(
+    let server = serve(
         small_registry(120, 4),
+        None,
         "127.0.0.1:0",
         ServeConfig {
             workers: 1,
