@@ -16,21 +16,22 @@
 
 use crate::builder::{from_edges, from_weighted_edges};
 use crate::csr::{CsrGraph, VertexId};
-use parscan_parallel::pool::chunk_ranges;
+use parscan_parallel::pool::chunk_ranges_max;
 use parscan_parallel::primitives::par_map;
 use parscan_parallel::utils::hash64_pair;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Generate edges in parallel: `count` draws of `f(rng)`, with per-chunk
-/// RNGs derived deterministically from `seed` so results are reproducible
-/// regardless of thread count.
+/// RNGs derived deterministically from `seed`. The chunk layout (at most 8
+/// chunks of at least 4,096 draws) is fixed, so the same seed gives the
+/// same edges at every thread count.
 fn par_generate_edges<T, F>(count: usize, seed: u64, f: F) -> Vec<T>
 where
     T: Send + Sync + Copy,
     F: Fn(&mut SmallRng) -> T + Sync,
 {
-    let ranges = chunk_ranges(count, 4096);
+    let ranges = chunk_ranges_max(count, 4096, 8);
     let per_chunk: Vec<Vec<T>> = par_map(ranges.len(), 1, |c| {
         let mut rng = SmallRng::seed_from_u64(hash64_pair(seed, c as u64));
         ranges[c].clone().map(|_| f(&mut rng)).collect()

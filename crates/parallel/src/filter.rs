@@ -8,18 +8,6 @@ use crate::utils::{SyncMutPtr, SyncPtr};
 use parking_lot::Mutex;
 use std::mem::MaybeUninit;
 
-/// Keep elements of `input` whose `pred` holds, preserving order.
-pub fn filter<T, P>(input: &[T], pred: P) -> Vec<T>
-where
-    T: Copy + Send + Sync,
-    P: Fn(&T) -> bool + Sync,
-{
-    filter_map_index(input.len(), |i| {
-        let x = input[i];
-        pred(&x).then_some(x)
-    })
-}
-
 /// Indices `i` in `0..n` for which `pred(i)` holds, in increasing order,
 /// as `u32` (the vertex-id width used throughout the repository).
 pub fn pack_index_u32<P>(n: usize, pred: P) -> Vec<u32>
@@ -94,17 +82,18 @@ mod tests {
         let input: Vec<u32> = (0..100_000)
             .map(|i| (i * 2654435761u64 % 1000) as u32)
             .collect();
-        let got = filter(&input, |&x| x % 3 == 0);
+        let got = filter_map_index(input.len(), |i| {
+            input[i].is_multiple_of(3).then_some(input[i])
+        });
         let want: Vec<u32> = input.iter().copied().filter(|&x| x % 3 == 0).collect();
         assert_eq!(got, want);
     }
 
     #[test]
     fn filter_empty_and_all() {
-        let input = [1u32, 2, 3];
-        assert_eq!(filter(&input, |_| false), Vec::<u32>::new());
-        assert_eq!(filter(&input, |_| true), vec![1, 2, 3]);
-        assert_eq!(filter(&[] as &[u32], |_| true), Vec::<u32>::new());
+        assert_eq!(pack_index_u32(3, |_| false), Vec::<u32>::new());
+        assert_eq!(pack_index_u32(3, |_| true), vec![0, 1, 2]);
+        assert_eq!(pack_index_u32(0, |_| true), Vec::<u32>::new());
     }
 
     #[test]

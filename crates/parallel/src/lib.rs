@@ -3,14 +3,15 @@
 //! This crate is the substrate that the rest of the repository builds on. It
 //! plays the role that GBBS/ParlayLib and the Cilk scheduler play in the
 //! paper "Parallel Index-Based Structural Graph Clustering and Its
-//! Approximation" (SIGMOD 2021): a fork-join execution model plus the
-//! parallel building blocks of §2.3.2 of the paper:
+//! Approximation" (SIGMOD 2021). The paper states its algorithms in the
+//! fork-join model (§2.3.1); every phase here runs as a flat data-parallel
+//! loop on one scheduler, built from the parallel building blocks of §2.3.2:
 //!
-//! - a persistent [`pool`] of worker threads executing flat fork-join loops,
+//! - a persistent [`pool`] of worker threads claiming chunks of a flat loop,
 //! - [`primitives`]: parallel for, map, and reduce,
 //! - [`weighted`]: work-balanced loops (prefix-sum cost scheduling),
 //! - [`prefix`]: parallel (exclusive) scan,
-//! - [`filter`](mod@filter): parallel filter/pack,
+//! - [`filter`]: parallel order-preserving filter/pack over an index range,
 //! - [`sort`]: parallel comparison sort (chunk sort + co-rank parallel merge),
 //! - [`radix`]: parallel stable LSD integer sort (the Thm 4.2 ingredient),
 //! - [`hashtable`]: phase-concurrent open-addressing hash set/map,
@@ -25,12 +26,10 @@
 
 pub mod connectivity;
 pub mod filter;
-pub mod fork_join;
 pub mod hashtable;
 pub mod pool;
 pub mod prefix;
 pub mod primitives;
-pub mod quicksort;
 pub mod radix;
 pub mod sort;
 pub mod union_find;
@@ -38,14 +37,12 @@ pub mod utils;
 pub mod weighted;
 
 pub use connectivity::connected_components;
-pub use filter::{filter, pack_index_u32};
-pub use fork_join::join;
+pub use filter::pack_index_u32;
 pub use hashtable::{ConcurrentMapU64, ConcurrentSetU64};
 pub use pool::{num_threads, set_active_threads};
-pub use prefix::{exclusive_scan_in_place, exclusive_scan_usize};
-pub use primitives::{par_for, par_for_range, par_map, reduce, reduce_commutative};
-pub use quicksort::{par_quicksort, par_quicksort_by};
+pub use prefix::exclusive_scan_usize;
+pub use primitives::{par_for, par_for_range, par_map, reduce};
 pub use radix::{par_radix_sort_by_key, par_radix_sort_pairs};
-pub use sort::{par_sort_by, par_sort_unstable_by};
+pub use sort::par_sort_unstable_by;
 pub use union_find::ConcurrentUnionFind;
 pub use weighted::{par_for_weighted, par_for_weighted_range, weighted_chunk_ranges};

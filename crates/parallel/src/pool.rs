@@ -20,10 +20,19 @@
 //! hold the (dangling) job pointer after `run` returns, but it only ever
 //! dereferences the closure for a successfully claimed chunk, which can no
 //! longer happen once all chunks are taken.
+//!
+//! A panicking chunk keeps that argument intact. `Job::work` catches the
+//! panic, keeps the first payload, and counts the chunk as finished, so a
+//! worker thread never dies and `finished` still reaches `n_chunks`. `run`
+//! re-raises the payload on the submitting thread only after every chunk is
+//! done, with `IN_POOL` already restored, so no worker can still be calling
+//! the closure while the submitter unwinds.
 
 use parking_lot::{Condvar, Mutex};
+use std::any::Any;
 use std::cell::Cell;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -38,8 +47,10 @@ struct Job {
     n_chunks: usize,
     /// Next chunk index to claim.
     next: AtomicUsize,
-    /// Number of chunks whose closure invocation has returned.
+    /// Number of chunks whose closure invocation has returned or panicked.
     finished: AtomicUsize,
+    /// Payload of the first chunk that panicked, re-raised by `run`.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 impl Job {
@@ -53,7 +64,9 @@ impl Job {
             // SAFETY: the submitting thread blocks until `finished ==
             // n_chunks`, so the closure is alive for every claimed chunk.
             let f = unsafe { &*self.func.0 };
-            f(i);
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(i))) {
+                self.panic.lock().get_or_insert(payload);
+            }
             self.finished.fetch_add(1, Ordering::Release);
         }
     }
@@ -131,7 +144,8 @@ impl ThreadPool {
 
     /// Execute `f(0), f(1), ..., f(n_chunks - 1)` in parallel, blocking
     /// until all invocations complete. Chunks are claimed dynamically, so
-    /// skewed per-chunk work balances across threads.
+    /// skewed per-chunk work balances across threads. If any chunk panics,
+    /// the rest still run and `run` then panics with the first payload.
     pub fn run<F>(&self, n_chunks: usize, f: F)
     where
         F: Fn(usize) + Sync,
@@ -162,6 +176,7 @@ impl ThreadPool {
             n_chunks,
             next: AtomicUsize::new(0),
             finished: AtomicUsize::new(0),
+            panic: Mutex::new(None),
         });
 
         {
@@ -184,8 +199,11 @@ impl ThreadPool {
             }
         }
         // Retire the job so late-waking workers do not rescan it.
-        let mut slot = self.shared.slot.lock();
-        slot.1 = None;
+        self.shared.slot.lock().1 = None;
+        let panic = job.panic.lock().take();
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
     }
 }
 
@@ -280,8 +298,14 @@ pub fn set_active_threads(threads: usize) {
 /// Split `n` elements into chunk ranges of roughly `grain` elements, capped
 /// so a full-width job has several chunks per thread for load balancing.
 pub fn chunk_ranges(n: usize, grain: usize) -> Vec<Range<usize>> {
+    chunk_ranges_max(n, grain, 8 * num_threads())
+}
+
+/// Split `n` elements into at most `max_chunks` ranges of roughly `grain`
+/// elements. Unlike [`chunk_ranges`], the layout does not depend on the
+/// thread count, for callers whose results depend on it (per-chunk RNGs).
+pub fn chunk_ranges_max(n: usize, grain: usize, max_chunks: usize) -> Vec<Range<usize>> {
     let grain = grain.max(1);
-    let max_chunks = 8 * num_threads();
     let n_chunks = n.div_ceil(grain).clamp(1, max_chunks.max(1));
     let base = n / n_chunks;
     let extra = n % n_chunks;
@@ -359,6 +383,39 @@ mod tests {
         assert_eq!(sum.load(Ordering::Relaxed), 255 * 256 / 2);
         pool.set_active_threads(usize::MAX);
         assert_eq!(pool.active_threads(), 5);
+    }
+
+    /// Run `job` on a fresh thread and return its result, or `None` if it
+    /// has not finished within `secs`, so a hung pool fails the test
+    /// instead of hanging it.
+    fn within<T: Send + 'static>(secs: u64, job: impl FnOnce() -> T + Send + 'static) -> Option<T> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(job()));
+        rx.recv_timeout(std::time::Duration::from_secs(secs)).ok()
+    }
+
+    #[test]
+    fn panicking_chunks_panic_run_and_leave_every_thread_alive() {
+        let pool = Arc::new(ThreadPool::new(3));
+        let p = Arc::clone(&pool);
+        let outcome = within(10, move || {
+            let result = catch_unwind(AssertUnwindSafe(|| p.run(64, |_| panic!("chunk panic"))));
+            (result.is_err(), in_pool())
+        });
+        let (panicked, still_in_pool) = outcome.expect("run must panic, not hang");
+        assert!(panicked);
+        assert!(!still_in_pool, "run must restore IN_POOL on the submitter");
+
+        // Each chunk waits until every thread holds one, so this finishes
+        // only if no worker died with the panics above.
+        let p = Arc::clone(&pool);
+        let barrier = Arc::new(std::sync::Barrier::new(pool.parallelism()));
+        let done = within(10, move || {
+            p.run(p.parallelism(), |_| {
+                barrier.wait();
+            })
+        });
+        assert!(done.is_some(), "a pool worker died with a panicking chunk");
     }
 
     #[test]

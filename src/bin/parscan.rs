@@ -276,11 +276,41 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Route every thread's allocations through one glibc malloc arena.
+///
+/// By default glibc gives each thread its own arena, and memory freed in an
+/// arena is only reused by threads of that arena. A write builds the next
+/// index on whichever request worker runs it, so the old copies stayed
+/// resident in one or in several arenas depending on how writes happened
+/// to spread over the workers: on a 2-core host, the same write workload
+/// left the server's peak resident size at 33 MiB in some runs and 42 MiB
+/// in others. With one arena, every freed copy is reused by the next write
+/// whatever thread runs it. Small allocations still go through glibc's
+/// per-thread caches, so the shared arena is taken only for the larger,
+/// rarer ones.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn use_one_malloc_arena() {
+    extern "C" {
+        fn mallopt(param: i32, value: i32) -> i32;
+    }
+    const M_ARENA_MAX: i32 = -8;
+    // SAFETY: `mallopt` only changes allocator tuning; it is called before
+    // the server spawns any thread.
+    unsafe {
+        mallopt(M_ARENA_MAX, 1);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn use_one_malloc_arena() {}
+
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use parscan::server::registry::build_index_from_path;
     use parscan::server::{serve, warm_boot, ServeConfig};
     use parscan::store::IndexStore;
     use std::sync::Arc;
+
+    use_one_malloc_arena();
 
     // The graph path is optional when a store directory can warm-boot
     // the working set instead.

@@ -531,3 +531,42 @@ fn abandoned_coalescing_is_retryable_on_the_wire_and_in_batches() {
     );
     server.shutdown();
 }
+
+/// A `BATCH` of distinct `CLUSTER`s runs them as one job on the global
+/// pool. With `engine.compute` armed to panic, every chunk of that job
+/// panics: the BATCH still gets the internal-error line, and the pool
+/// keeps every worker, so a job that needs all of its threads at once
+/// still completes afterwards.
+#[test]
+fn a_panicking_batch_leaves_every_pool_worker_alive() {
+    let _faults = FaultGuard::new();
+    let (g, _) = parscan::graph::generators::planted_partition(200, 4, 9.0, 1.0, 11);
+    let registry = Arc::new(GraphRegistry::new("main", RegistryConfig::default()));
+    registry
+        .install("main", ScanIndex::build(g, IndexConfig::default()))
+        .unwrap();
+    let server = serve(registry, None, "127.0.0.1:0", ServeConfig::default()).expect("bind");
+
+    failpoint::configure("engine.compute", "panic").unwrap();
+    let mut session = connect(server.addr());
+    let items: Vec<String> = (2..10).map(|mu| format!("CLUSTER {mu} 0.4")).collect();
+    ask(&mut session, &format!("BATCH {}", items.join(" ; ")));
+    let internal = r#"{"ok":false,"op":"error","retryable":false,"message":"internal error: request handler produced no response"}"#;
+    assert_eq!(answer(&mut session).trim_end(), internal);
+    failpoint::remove("engine.compute");
+
+    let pool = parscan::parallel::pool::global();
+    let barrier = Arc::new(Barrier::new(pool.parallelism()));
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        pool.run(pool.parallelism(), |_| {
+            barrier.wait();
+        });
+        let _ = done_tx.send(());
+    });
+    assert!(
+        done_rx.recv_timeout(Duration::from_secs(10)).is_ok(),
+        "a pool worker died with the panicking BATCH"
+    );
+    server.shutdown();
+}
