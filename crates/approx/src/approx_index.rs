@@ -65,7 +65,6 @@ pub struct ApproxConfig {
     /// Apply the §6.3 low-degree heuristic (disable to sketch everything —
     /// the ablation the Criterion benches measure).
     pub degree_heuristic: bool,
-    pub sort: SortStrategy,
 }
 
 impl Default for ApproxConfig {
@@ -75,7 +74,6 @@ impl Default for ApproxConfig {
             samples: 256,
             seed: 0,
             degree_heuristic: true,
-            sort: SortStrategy::Integer,
         }
     }
 }
@@ -172,7 +170,7 @@ pub fn approx_similarities(g: &CsrGraph, config: &ApproxConfig) -> EdgeSimilarit
 /// Build a full approximate SCAN index.
 pub fn build_approx_index(graph: CsrGraph, config: ApproxConfig) -> ScanIndex {
     let sims = approx_similarities(&graph, &config);
-    ScanIndex::from_similarities(graph, sims, config.method.measure(), config.sort)
+    ScanIndex::from_similarities(graph, sims, config.method.measure(), SortStrategy::Integer)
 }
 
 #[cfg(test)]

@@ -36,8 +36,6 @@ pub struct SamplingConfig {
     pub keep_probability: f64,
     /// Seed for the (deterministic, hash-based) sampling decisions.
     pub seed: u64,
-    /// Sort strategy for the order-construction phase.
-    pub sort: SortStrategy,
 }
 
 impl Default for SamplingConfig {
@@ -45,7 +43,6 @@ impl Default for SamplingConfig {
         SamplingConfig {
             keep_probability: 0.5,
             seed: 1,
-            sort: SortStrategy::Integer,
         }
     }
 }
@@ -190,7 +187,7 @@ pub fn build_sampled_index(
     measure: SimilarityMeasure,
 ) -> ScanIndex {
     let sims = sampled_similarities_for(&graph, &config, measure);
-    ScanIndex::from_similarities(graph, sims, measure, config.sort)
+    ScanIndex::from_similarities(graph, sims, measure, SortStrategy::Integer)
 }
 
 #[cfg(test)]
@@ -249,7 +246,6 @@ mod tests {
                 let config = SamplingConfig {
                     keep_probability: 0.5,
                     seed,
-                    ..Default::default()
                 };
                 let est = sampled_similarities_for(&g, &config, SimilarityMeasure::Cosine);
                 sum += est.slot(s) as f64;
@@ -269,7 +265,6 @@ mod tests {
         let config = SamplingConfig {
             keep_probability: 0.3,
             seed: 42,
-            ..Default::default()
         };
         let a = sampled_similarities_for(&g, &config, SimilarityMeasure::Jaccard);
         let b = sampled_similarities_for(&g, &config, SimilarityMeasure::Jaccard);
@@ -284,7 +279,6 @@ mod tests {
             SamplingConfig {
                 keep_probability: 0.6,
                 seed: 5,
-                ..Default::default()
             },
             SimilarityMeasure::Cosine,
         );

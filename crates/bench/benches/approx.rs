@@ -31,7 +31,6 @@ fn bench_approx(c: &mut Criterion) {
                             samples: k,
                             seed: 1,
                             degree_heuristic: true,
-                            ..Default::default()
                         },
                     )
                 })
@@ -49,7 +48,6 @@ fn bench_approx(c: &mut Criterion) {
                             samples: k,
                             seed: 1,
                             degree_heuristic: false,
-                            ..Default::default()
                         },
                     )
                 })

@@ -46,7 +46,6 @@ fn main() {
                         samples: k,
                         seed: log2k as u64,
                         degree_heuristic: true,
-                        ..Default::default()
                     },
                 ));
             });
@@ -59,7 +58,6 @@ fn main() {
                             samples: k,
                             seed: log2k as u64,
                             degree_heuristic: true,
-                            ..Default::default()
                         },
                     ));
                 })

@@ -65,7 +65,6 @@ fn main() {
                     samples: k,
                     seed: k as u64,
                     degree_heuristic: true,
-                    sort: SortStrategy::Integer,
                 };
                 let (t_build, index) = timing::time_once(|| build_approx_index(g.clone(), config));
                 let (q, _) = params::best_modularity(&index);

@@ -11,7 +11,7 @@
 use parscan_approx::sampling::{build_sampled_index, SamplingConfig};
 use parscan_approx::{build_approx_index, ApproxConfig, ApproxMethod};
 use parscan_bench::{datasets, params, timing};
-use parscan_core::{BorderAssignment, IndexConfig, ScanIndex, SimilarityMeasure, SortStrategy};
+use parscan_core::{BorderAssignment, IndexConfig, ScanIndex, SimilarityMeasure};
 use parscan_metrics::adjusted_rand_index;
 
 fn main() {
@@ -58,7 +58,6 @@ fn main() {
                         samples: k,
                         seed: k as u64,
                         degree_heuristic: true,
-                        sort: SortStrategy::Integer,
                     },
                 )
             });
@@ -71,7 +70,6 @@ fn main() {
                     SamplingConfig {
                         keep_probability: p,
                         seed: (p * 1000.0) as u64,
-                        sort: SortStrategy::Integer,
                     },
                     SimilarityMeasure::Cosine,
                 )

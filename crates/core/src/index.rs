@@ -189,11 +189,6 @@ impl ScanIndex {
             + size_of_val(co_vertices)
             + size_of_val(co_thresholds)
     }
-
-    /// Consume the index, returning the graph.
-    pub fn into_graph(self) -> CsrGraph {
-        self.graph
-    }
 }
 
 #[cfg(test)]

@@ -9,12 +9,12 @@
 //!
 //! # Format v2 (written by [`ScanIndex::save`])
 //!
-//! Little-endian binary (consistent with the graph format in
-//! `parscan_graph::io`), self-describing via a **section table** in the
-//! header so future versions can add sections without breaking older
-//! readers, and guarded by a trailing checksum so torn writes and bit
-//! corruption are detected instead of silently producing wrong
-//! clusterings:
+//! Little-endian binary (arrays through `parscan_graph::codec`, the same
+//! codec as the graph format in `parscan_graph::io`), self-describing via
+//! a **section table** in the header so future versions can add sections
+//! without breaking older readers, and guarded by a trailing checksum so
+//! torn writes and bit corruption are detected instead of silently
+//! producing wrong clusterings:
 //!
 //! ```text
 //! header (40 bytes):
@@ -33,6 +33,12 @@
 //! reading it gets cache-line-aligned (and `u64`-aligned) array starts
 //! for free.
 //!
+//! Every section is required except GRAPH_WEIGHTS, which is present
+//! exactly when the header's `weighted` flag is set. In particular the
+//! BREAKPOINTS section (the sorted distinct similarities) is required: a
+//! file without it is `InvalidData`. Version 2 is the only version read;
+//! any other version is `InvalidData` too.
+//!
 //! Loading performs **one sequential read** of the whole file into a
 //! buffer, verifies the checksum, then copies each section into owned
 //! buffers and re-validates CSR structural invariants — a crafted file
@@ -46,22 +52,16 @@
 //! go to a temporary file in the same directory, which is fsynced and
 //! then atomically renamed over the destination (the directory is
 //! fsynced too, so the rename itself survives a crash). A crash at any
-//! point leaves either the complete old snapshot or the complete new one
-//! — the v1 format's checksum could *detect* a torn write, but the save
-//! path could still destroy the previous good snapshot; v2's cannot.
+//! point leaves either the complete old snapshot or the complete new one.
 //! The helper is exported as [`atomic_write`] and reused by
 //! `parscan-store` for its manifest.
-//!
-//! # Format v1 (read-only compatibility)
-//!
-//! Version-1 files (sequential sections, no table) remain loadable; see
-//! the v1 reader below for the exact layout. New files are always v2.
 
 use crate::core_order::CoreOrder;
 use crate::index::ScanIndex;
 use crate::neighbor_order::NeighborOrder;
 use crate::similarity::SimilarityMeasure;
 use crate::similarity_exact::EdgeSimilarities;
+use parscan_graph::codec::{self, u32_at, u64_at};
 use parscan_graph::CsrGraph;
 use std::fs::File;
 use std::io::{self, Write};
@@ -90,8 +90,7 @@ mod section {
     pub const CO_VERTICES: u32 = 8;
     pub const CO_THRESHOLDS: u32 = 9;
     /// Sorted distinct similarity values (the serving layer's
-    /// ε-breakpoints). Optional: readers recompute when absent, so files
-    /// written without it stay loadable.
+    /// ε-breakpoints).
     pub const BREAKPOINTS: u32 = 10;
 }
 
@@ -194,69 +193,6 @@ pub fn atomic_write<P: AsRef<Path>>(path: P, bytes: &[u8]) -> io::Result<()> {
     result
 }
 
-/// Raw byte view of a numeric slice. Sound for `u32`/`f32`/`u64`/`usize`:
-/// no padding, every bit pattern valid, alignment of `u8` is 1. Only
-/// used as the *file* encoding on little-endian targets (the format is
-/// little-endian); big-endian targets take the per-element conversion
-/// paths below instead.
-fn pod_bytes<T: Copy>(xs: &[T]) -> &[u8] {
-    // SAFETY: see above — the slice's backing memory is exactly
-    // `size_of_val(xs)` initialized bytes.
-    unsafe { std::slice::from_raw_parts(xs.as_ptr().cast(), std::mem::size_of_val(xs)) }
-}
-
-struct Buf(Vec<u8>);
-
-impl Buf {
-    fn u32(&mut self, x: u32) {
-        self.0.extend_from_slice(&x.to_le_bytes());
-    }
-    fn u64(&mut self, x: u64) {
-        self.0.extend_from_slice(&x.to_le_bytes());
-    }
-    /// Zero-pad to the next multiple of `align`.
-    fn align(&mut self, align: usize) {
-        let rem = self.0.len() % align;
-        if rem != 0 {
-            self.0.resize(self.0.len() + (align - rem), 0);
-        }
-    }
-    // Array sections move as single memcpys on little-endian targets:
-    // the in-memory representation already *is* the file encoding. This
-    // is what makes save/load I/O-bound instead of encode-bound. (Both
-    // branches compile everywhere; `cfg!` selects at compile time.)
-    fn slice_u32(&mut self, xs: &[u32]) {
-        if cfg!(target_endian = "little") {
-            self.0.extend_from_slice(pod_bytes(xs));
-        } else {
-            self.0.reserve(xs.len() * 4);
-            for &x in xs {
-                self.0.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-    }
-    fn slice_f32(&mut self, xs: &[f32]) {
-        if cfg!(target_endian = "little") {
-            self.0.extend_from_slice(pod_bytes(xs));
-        } else {
-            self.0.reserve(xs.len() * 4);
-            for &x in xs {
-                self.0.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-    }
-    fn slice_usize_as_u64(&mut self, xs: &[usize]) {
-        if cfg!(all(target_endian = "little", target_pointer_width = "64")) {
-            self.0.extend_from_slice(pod_bytes(xs));
-        } else {
-            self.0.reserve(xs.len() * 8);
-            for &x in xs {
-                self.0.extend_from_slice(&(x as u64).to_le_bytes());
-            }
-        }
-    }
-}
-
 impl ScanIndex {
     /// Serialize the index (graph included) to `path` in format v2,
     /// crash-safely (see the module docs). The destination is replaced
@@ -313,48 +249,51 @@ impl ScanIndex {
         }
         let total = at + 8; // + checksum trailer
 
-        let mut buf = Buf(Vec::with_capacity(total));
-        buf.0.extend_from_slice(MAGIC);
-        buf.u32(VERSION);
-        buf.u32(sections.len() as u32);
-        buf.u32(0); // reserved
-        buf.u64(g.num_vertices() as u64);
-        buf.u64(slots as u64);
-        buf.0.push(measure_tag(self.measure()));
-        buf.0.push(u8::from(weights.is_some()));
-        buf.0.extend_from_slice(&[0u8; 6]); // pad to HEADER_BYTES
-        debug_assert_eq!(buf.0.len(), HEADER_BYTES);
+        let mut out = Vec::with_capacity(total);
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+        out.extend_from_slice(&0u32.to_le_bytes()); // reserved
+        out.extend_from_slice(&(g.num_vertices() as u64).to_le_bytes());
+        out.extend_from_slice(&(slots as u64).to_le_bytes());
+        out.push(measure_tag(self.measure()));
+        out.push(u8::from(weights.is_some()));
+        out.extend_from_slice(&[0u8; 6]); // pad to HEADER_BYTES
+        debug_assert_eq!(out.len(), HEADER_BYTES);
         for &(id, offset, len) in &placed {
-            buf.u32(id);
-            buf.u32(0); // reserved
-            buf.u64(offset as u64);
-            buf.u64(len as u64);
+            out.extend_from_slice(&id.to_le_bytes());
+            out.extend_from_slice(&0u32.to_le_bytes()); // reserved
+            out.extend_from_slice(&(offset as u64).to_le_bytes());
+            out.extend_from_slice(&(len as u64).to_le_bytes());
         }
         for &(id, offset, _) in &placed {
-            buf.align(SECTION_ALIGN);
-            debug_assert_eq!(buf.0.len(), offset);
+            out.resize(offset, 0); // zero padding up to the aligned start
             match id {
-                section::GRAPH_OFFSETS => buf.slice_usize_as_u64(offsets),
-                section::GRAPH_NEIGHBORS => buf.slice_u32(neighbors),
-                section::GRAPH_WEIGHTS => buf.slice_f32(weights.expect("placed only if present")),
-                section::SIMILARITIES => buf.slice_f32(self.similarities().as_slice()),
-                section::NO_NEIGHBORS => buf.slice_u32(no_nbr),
-                section::NO_SIMILARITIES => buf.slice_f32(no_sim),
-                section::CO_OFFSETS => buf.slice_usize_as_u64(co_offsets),
-                section::CO_VERTICES => buf.slice_u32(co_vertices),
-                section::CO_THRESHOLDS => buf.slice_f32(co_thresholds),
-                section::BREAKPOINTS => buf.slice_f32(breakpoints),
+                section::GRAPH_OFFSETS => codec::encode_usizes(&mut out, offsets),
+                section::GRAPH_NEIGHBORS => codec::encode_u32s(&mut out, neighbors),
+                section::GRAPH_WEIGHTS => {
+                    codec::encode_f32s(&mut out, weights.expect("placed only if present"))
+                }
+                section::SIMILARITIES => {
+                    codec::encode_f32s(&mut out, self.similarities().as_slice())
+                }
+                section::NO_NEIGHBORS => codec::encode_u32s(&mut out, no_nbr),
+                section::NO_SIMILARITIES => codec::encode_f32s(&mut out, no_sim),
+                section::CO_OFFSETS => codec::encode_usizes(&mut out, co_offsets),
+                section::CO_VERTICES => codec::encode_u32s(&mut out, co_vertices),
+                section::CO_THRESHOLDS => codec::encode_f32s(&mut out, co_thresholds),
+                section::BREAKPOINTS => codec::encode_f32s(&mut out, breakpoints),
                 _ => unreachable!("writer emits only known sections"),
             }
         }
-        let checksum = checksum64(&buf.0);
-        buf.u64(checksum);
-        buf.0
+        let checksum = checksum64(&out);
+        out.extend_from_slice(&checksum.to_le_bytes());
+        out
     }
 
-    /// Load an index previously written by [`ScanIndex::save`] (format
-    /// v2, or read-only v1), verifying the checksum and structural
-    /// invariants. The whole file is consumed in one sequential read.
+    /// Load an index previously written by [`ScanIndex::save`], verifying
+    /// the checksum and structural invariants. The whole file is consumed
+    /// in one sequential read.
     pub fn load<P: AsRef<Path>>(path: P) -> io::Result<ScanIndex> {
         // `fs::read` sizes the buffer from file metadata up front —
         // no realloc-and-copy cycles while slurping a multi-GiB snapshot.
@@ -363,344 +302,161 @@ impl ScanIndex {
     }
 
     /// Parse a snapshot from bytes already in memory (the counterpart of
-    /// [`ScanIndex::to_snapshot_bytes`]).
+    /// [`ScanIndex::to_snapshot_bytes`]): checksum, header, section table,
+    /// then one bulk decode per section and the structural checks.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> io::Result<ScanIndex> {
         if bytes.len() < MAGIC.len() + 4 + 8 {
             return Err(bad("file too short to be a parscan index"));
         }
         let (payload, tail) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-        if checksum64(payload) != stored {
+        if checksum64(payload) != u64_at(tail, 0) {
             return Err(bad("checksum mismatch: index file is corrupted"));
         }
         if &payload[..4] != MAGIC {
             return Err(bad("not a parscan index file"));
         }
-        let version = u32::from_le_bytes(payload[4..8].try_into().unwrap());
-        match version {
-            1 => load_v1(payload),
-            2 => load_v2(payload),
-            other => Err(bad(&format!("unsupported index version {other}"))),
+        let version = u32_at(payload, 4);
+        if version != VERSION {
+            return Err(bad(&format!("unsupported index version {version}")));
         }
-    }
-}
+        if payload.len() < HEADER_BYTES {
+            return Err(bad("index file truncated inside the header"));
+        }
+        let section_count = u32_at(payload, 8) as usize;
+        let n = u64_at(payload, 16);
+        let slots = u64_at(payload, 24);
+        let measure =
+            measure_from_tag(payload[32]).ok_or_else(|| bad("unknown similarity-measure tag"))?;
+        let weighted = payload[33] != 0;
+        // Bound the implied array lengths by the file size *before* any
+        // arithmetic or allocation: a crafted n/slots cannot overflow the
+        // expected-length math below or balloon an allocation.
+        let file_len = payload.len() as u64;
+        if n >= file_len || slots > file_len {
+            return Err(bad("header n/slots exceed file size"));
+        }
+        let (n, slots) = (n as usize, slots as usize);
 
-/// Validate and assemble the parts shared by both format readers.
-/// One parameter per file section, by design — a struct would only
-/// restate the section list.
-#[allow(clippy::too_many_arguments)]
-fn assemble(
-    measure: SimilarityMeasure,
-    offsets: Vec<usize>,
-    neighbors: Vec<u32>,
-    weights: Option<Vec<f32>>,
-    sims: Vec<f32>,
-    no_nbr: Vec<u32>,
-    no_sim: Vec<f32>,
-    co_offsets: Vec<usize>,
-    co_vertices: Vec<u32>,
-    co_thresholds: Vec<f32>,
-    breakpoints: Option<Vec<f32>>,
-) -> io::Result<ScanIndex> {
-    let graph = CsrGraph::try_from_parts(offsets, neighbors, weights)
-        .map_err(|e| bad(&format!("invalid graph in index file: {e}")))?;
-    if co_offsets.is_empty()
-        || co_offsets.windows(2).any(|w| w[0] > w[1])
-        || *co_offsets.last().unwrap() != co_vertices.len()
-    {
-        return Err(bad("invalid core-order offsets in index file"));
-    }
-    // A persisted breakpoint list must at least be strictly ascending —
-    // the serving layer binary-searches it. Its *values* carry the same
-    // trust as the persisted similarities themselves (neither is
-    // recomputed from the graph on load).
-    let similarities = match breakpoints {
-        Some(bps) => {
-            if bps.iter().any(|b| !b.is_finite()) || bps.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(bad("breakpoints section is not strictly ascending"));
+        // A corrupt section count must not allocate an absurd table.
+        let table_end = HEADER_BYTES + section_count.saturating_mul(TABLE_ENTRY_BYTES);
+        if section_count > payload.len() / TABLE_ENTRY_BYTES || table_end > payload.len() {
+            return Err(bad("section table exceeds file size"));
+        }
+        // Locate each known section. Duplicates are rejected; unknown ids
+        // are skipped (that is the forward-compatibility contract).
+        let mut found: [Option<(usize, usize)>; 11] = [None; 11];
+        for i in 0..section_count {
+            let at = HEADER_BYTES + i * TABLE_ENTRY_BYTES;
+            let id = u32_at(payload, at);
+            let offset = u64_at(payload, at + 8);
+            let len = u64_at(payload, at + 16);
+            if offset > file_len || len > file_len - offset {
+                return Err(bad(&format!("section {id} exceeds file size")));
             }
-            EdgeSimilarities::from_per_slot_with_breakpoints(sims, bps)
-        }
-        None => EdgeSimilarities::from_per_slot(sims),
-    };
-    let index = ScanIndex::from_existing_parts(
-        graph,
-        similarities,
-        NeighborOrder::from_parts(no_nbr, no_sim),
-        CoreOrder::from_parts(co_offsets, co_vertices, co_thresholds),
-        measure,
-    );
-    index
-        .neighbor_order()
-        .validate(index.graph())
-        .map_err(|e| bad(&format!("invalid neighbor order in index file: {e}")))?;
-    Ok(index)
-}
-
-/// The v2 reader: header → section table → per-section owned buffers.
-fn load_v2(payload: &[u8]) -> io::Result<ScanIndex> {
-    if payload.len() < HEADER_BYTES {
-        return Err(bad("index file truncated inside the header"));
-    }
-    let section_count = u32::from_le_bytes(payload[8..12].try_into().unwrap()) as usize;
-    let n = u64::from_le_bytes(payload[16..24].try_into().unwrap());
-    let slots = u64::from_le_bytes(payload[24..32].try_into().unwrap());
-    let measure =
-        measure_from_tag(payload[32]).ok_or_else(|| bad("unknown similarity-measure tag"))?;
-    let weighted = payload[33] != 0;
-    // Bound the implied array lengths by the file size *before* any
-    // arithmetic or allocation: a crafted n/slots cannot overflow the
-    // expected-length math below or balloon an allocation.
-    let file_len = payload.len() as u64;
-    if n >= file_len || slots > file_len {
-        return Err(bad("header n/slots exceed file size"));
-    }
-    let (n, slots) = (n as usize, slots as usize);
-
-    // A corrupt section count must not allocate an absurd table.
-    let table_end = HEADER_BYTES + section_count.saturating_mul(TABLE_ENTRY_BYTES);
-    if section_count > payload.len() / TABLE_ENTRY_BYTES || table_end > payload.len() {
-        return Err(bad("section table exceeds file size"));
-    }
-    // Locate each known section. Duplicates are rejected; unknown ids
-    // are skipped (that is the forward-compatibility contract).
-    let mut found: [Option<(usize, usize)>; 11] = [None; 11];
-    for i in 0..section_count {
-        let e = &payload[HEADER_BYTES + i * TABLE_ENTRY_BYTES..][..TABLE_ENTRY_BYTES];
-        let id = u32::from_le_bytes(e[0..4].try_into().unwrap());
-        let offset = u64::from_le_bytes(e[8..16].try_into().unwrap());
-        let len = u64::from_le_bytes(e[16..24].try_into().unwrap());
-        if offset > file_len || len > file_len - offset {
-            return Err(bad(&format!("section {id} exceeds file size")));
-        }
-        if (offset as usize) < table_end {
-            return Err(bad(&format!("section {id} overlaps the header")));
-        }
-        if let Some(slot) = found.get_mut(id as usize) {
-            if slot.replace((offset as usize, len as usize)).is_some() {
-                return Err(bad(&format!("duplicate section {id}")));
+            if (offset as usize) < table_end {
+                return Err(bad(&format!("section {id} overlaps the header")));
+            }
+            if let Some(slot) = found.get_mut(id as usize) {
+                if slot.replace((offset as usize, len as usize)).is_some() {
+                    return Err(bad(&format!("duplicate section {id}")));
+                }
             }
         }
-    }
-    let take = |id: u32, expect_len: usize, what: &str| -> io::Result<&[u8]> {
-        let (offset, len) =
-            found[id as usize].ok_or_else(|| bad(&format!("missing section: {what} (id {id})")))?;
-        if len != expect_len {
-            return Err(bad(&format!(
-                "section {what} has {len} bytes, expected {expect_len}"
-            )));
-        }
-        Ok(&payload[offset..offset + len])
-    };
-
-    let offsets = vec_u64_as_usize(take(section::GRAPH_OFFSETS, (n + 1) * 8, "graph offsets")?);
-    let neighbors = vec_u32(take(
-        section::GRAPH_NEIGHBORS,
-        slots * 4,
-        "graph neighbors",
-    )?);
-    let weights = if weighted {
-        Some(vec_f32(take(
-            section::GRAPH_WEIGHTS,
-            slots * 4,
-            "graph weights",
-        )?))
-    } else if found[section::GRAPH_WEIGHTS as usize].is_some() {
-        return Err(bad("weights section present but header says unweighted"));
-    } else {
-        None
-    };
-    let sims = vec_f32(take(section::SIMILARITIES, slots * 4, "similarities")?);
-    let no_nbr = vec_u32(take(section::NO_NEIGHBORS, slots * 4, "NO neighbors")?);
-    let no_sim = vec_f32(take(
-        section::NO_SIMILARITIES,
-        slots * 4,
-        "NO similarities",
-    )?);
-    // CO_OFFSETS is the one section whose length is not implied by
-    // n/slots; its element count is its byte length / 8 (already bounded
-    // by the file size above).
-    let (co_off_at, co_off_len) = found[section::CO_OFFSETS as usize]
-        .ok_or_else(|| bad("missing section: CO offsets (id 7)"))?;
-    if co_off_len % 8 != 0 {
-        return Err(bad("CO offsets section length not a multiple of 8"));
-    }
-    let co_offsets = vec_u64_as_usize(&payload[co_off_at..co_off_at + co_off_len]);
-    let co_vertices = vec_u32(take(section::CO_VERTICES, slots * 4, "CO vertices")?);
-    let co_thresholds = vec_f32(take(section::CO_THRESHOLDS, slots * 4, "CO thresholds")?);
-    // BREAKPOINTS is optional (absent in files written before it existed)
-    // and, like CO_OFFSETS, has a length not implied by n/slots.
-    let breakpoints = match found[section::BREAKPOINTS as usize] {
-        Some((at, len)) => {
-            if len % 4 != 0 {
-                return Err(bad("breakpoints section length not a multiple of 4"));
+        // `elem` is the element size; `expect_count` is the element count
+        // implied by n/slots, or `None` for the two sections (CO offsets,
+        // breakpoints) whose count only their byte length gives.
+        let take = |id: u32, elem: usize, expect_count: Option<usize>, what: &str| {
+            let (offset, len) = found[id as usize]
+                .ok_or_else(|| bad(&format!("missing section: {what} (id {id})")))?;
+            match expect_count {
+                Some(count) if len != count * elem => Err(bad(&format!(
+                    "section {what} has {len} bytes, expected {}",
+                    count * elem
+                ))),
+                None if len % elem != 0 => Err(bad(&format!(
+                    "section {what} length not a multiple of {elem}"
+                ))),
+                _ => Ok(&payload[offset..offset + len]),
             }
-            Some(vec_f32(&payload[at..at + len]))
+        };
+
+        let offsets = codec::decode_usizes(take(
+            section::GRAPH_OFFSETS,
+            8,
+            Some(n + 1),
+            "graph offsets",
+        )?);
+        let neighbors = codec::decode_u32s(take(
+            section::GRAPH_NEIGHBORS,
+            4,
+            Some(slots),
+            "graph neighbors",
+        )?);
+        let weights = if weighted {
+            Some(codec::decode_f32s(take(
+                section::GRAPH_WEIGHTS,
+                4,
+                Some(slots),
+                "graph weights",
+            )?))
+        } else if found[section::GRAPH_WEIGHTS as usize].is_some() {
+            return Err(bad("weights section present but header says unweighted"));
+        } else {
+            None
+        };
+        let sims = codec::decode_f32s(take(section::SIMILARITIES, 4, Some(slots), "similarities")?);
+        let no_nbr =
+            codec::decode_u32s(take(section::NO_NEIGHBORS, 4, Some(slots), "NO neighbors")?);
+        let no_sim = codec::decode_f32s(take(
+            section::NO_SIMILARITIES,
+            4,
+            Some(slots),
+            "NO similarities",
+        )?);
+        let co_offsets = codec::decode_usizes(take(section::CO_OFFSETS, 8, None, "CO offsets")?);
+        let co_vertices =
+            codec::decode_u32s(take(section::CO_VERTICES, 4, Some(slots), "CO vertices")?);
+        let co_thresholds = codec::decode_f32s(take(
+            section::CO_THRESHOLDS,
+            4,
+            Some(slots),
+            "CO thresholds",
+        )?);
+        let breakpoints = codec::decode_f32s(take(section::BREAKPOINTS, 4, None, "breakpoints")?);
+        let graph = CsrGraph::try_from_parts(offsets, neighbors, weights)
+            .map_err(|e| bad(&format!("invalid graph in index file: {e}")))?;
+        if co_offsets.is_empty()
+            || co_offsets.windows(2).any(|w| w[0] > w[1])
+            || *co_offsets.last().expect("checked non-empty") != co_vertices.len()
+        {
+            return Err(bad("invalid core-order offsets in index file"));
         }
-        None => None,
-    };
-
-    assemble(
-        measure,
-        offsets,
-        neighbors,
-        weights,
-        sims,
-        no_nbr,
-        no_sim,
-        co_offsets,
-        co_vertices,
-        co_thresholds,
-        breakpoints,
-    )
-}
-
-// The decode counterparts of `Buf`'s slice writers: one allocation plus
-// one memcpy per section on little-endian targets. Trailing bytes that
-// don't fill a whole element are ignored, matching `chunks_exact`.
-
-/// Decode a section into an owned `Vec<T>` with exactly one pass over
-/// memory: uninitialized allocation + `memcpy`, no zero-fill. Sound only
-/// for padding-free any-bit-pattern element types (`u32`, `f32`, `u64`).
-fn vec_pod<T: Copy>(raw: &[u8]) -> Vec<T> {
-    let size = std::mem::size_of::<T>();
-    let len = raw.len() / size;
-    let mut out: Vec<T> = Vec::with_capacity(len);
-    // SAFETY: the copy initializes exactly the `len * size` bytes that
-    // `set_len` then claims; any bit pattern is a valid `T`.
-    unsafe {
-        std::ptr::copy_nonoverlapping(raw.as_ptr(), out.as_mut_ptr().cast::<u8>(), len * size);
-        out.set_len(len);
+        // The persisted breakpoint list must at least be strictly
+        // ascending — the serving layer binary-searches it. Its *values*
+        // carry the same trust as the persisted similarities themselves
+        // (neither is recomputed from the graph on load).
+        if breakpoints.iter().any(|b| !b.is_finite())
+            || breakpoints.windows(2).any(|w| w[0] >= w[1])
+        {
+            return Err(bad("breakpoints section is not strictly ascending"));
+        }
+        let index = ScanIndex::from_existing_parts(
+            graph,
+            EdgeSimilarities::from_per_slot_with_breakpoints(sims, breakpoints),
+            NeighborOrder::from_parts(no_nbr, no_sim),
+            CoreOrder::from_parts(co_offsets, co_vertices, co_thresholds),
+            measure,
+        );
+        index
+            .neighbor_order()
+            .validate(index.graph())
+            .map_err(|e| bad(&format!("invalid neighbor order in index file: {e}")))?;
+        Ok(index)
     }
-    out
-}
-
-fn vec_u32(raw: &[u8]) -> Vec<u32> {
-    if cfg!(target_endian = "little") {
-        vec_pod(raw)
-    } else {
-        raw.chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect()
-    }
-}
-
-fn vec_f32(raw: &[u8]) -> Vec<f32> {
-    if cfg!(target_endian = "little") {
-        vec_pod(raw)
-    } else {
-        raw.chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect()
-    }
-}
-
-fn vec_u64_as_usize(raw: &[u8]) -> Vec<usize> {
-    if cfg!(all(target_endian = "little", target_pointer_width = "64")) {
-        vec_pod(raw)
-    } else {
-        raw.chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()) as usize)
-            .collect()
-    }
-}
-
-/// The v1 reader, kept for files written before format v2:
-///
-/// ```text
-/// magic "PSCI" | version u32 = 1 | measure u8 | weighted u8
-/// | n u64 | slots u64
-/// | graph offsets (n+1)×u64 | graph neighbors slots×u32 | [weights slots×f32]
-/// | similarities slots×f32
-/// | NO neighbors slots×u32 | NO similarities slots×f32
-/// | CO offsets: count u64, count×u64 | CO vertices slots×u32 | CO thresholds slots×f32
-/// | fnv1a64 checksum of everything above, u64
-/// ```
-fn load_v1(payload: &[u8]) -> io::Result<ScanIndex> {
-    let mut cur = Cursor {
-        bytes: payload,
-        pos: 8, // magic + version already checked
-    };
-    let measure =
-        measure_from_tag(cur.u8()?).ok_or_else(|| bad("unknown similarity-measure tag"))?;
-    let weighted = cur.u8()? != 0;
-    let n = cur.len_u64()?;
-    let slots = cur.len_u64()?;
-
-    let offsets = cur.vec_u64_as_usize(n + 1)?;
-    let neighbors = cur.vec_u32(slots)?;
-    let weights = if weighted {
-        Some(cur.vec_f32(slots)?)
-    } else {
-        None
-    };
-    let sims = cur.vec_f32(slots)?;
-    let no_nbr = cur.vec_u32(slots)?;
-    let no_sim = cur.vec_f32(slots)?;
-    let n_offsets = cur.len_u64()?;
-    let co_offsets = cur.vec_u64_as_usize(n_offsets)?;
-    let co_vertices = cur.vec_u32(slots)?;
-    let co_thresholds = cur.vec_f32(slots)?;
-    if cur.pos != cur.bytes.len() {
-        return Err(bad("trailing bytes after index payload"));
-    }
-    assemble(
-        measure,
-        offsets,
-        neighbors,
-        weights,
-        sims,
-        no_nbr,
-        no_sim,
-        co_offsets,
-        co_vertices,
-        co_thresholds,
-        None, // v1 predates persisted breakpoints; computed lazily
-    )
 }
 
 fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, len: usize) -> io::Result<&'a [u8]> {
-        if self.pos + len > self.bytes.len() {
-            return Err(bad("index file truncated"));
-        }
-        let out = &self.bytes[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(out)
-    }
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    /// A u64 length field, bounded so corrupted lengths cannot trigger
-    /// enormous allocations before the (already verified) payload runs out.
-    fn len_u64(&mut self) -> io::Result<usize> {
-        let x = self.u64()?;
-        if x > self.bytes.len() as u64 {
-            return Err(bad("length field exceeds file size"));
-        }
-        Ok(x as usize)
-    }
-    fn vec_u32(&mut self, len: usize) -> io::Result<Vec<u32>> {
-        Ok(vec_u32(self.take(len * 4)?))
-    }
-    fn vec_f32(&mut self, len: usize) -> io::Result<Vec<f32>> {
-        Ok(vec_f32(self.take(len * 4)?))
-    }
-    fn vec_u64_as_usize(&mut self, len: usize) -> io::Result<Vec<usize>> {
-        Ok(vec_u64_as_usize(self.take(len * 8)?))
-    }
 }
 
 #[cfg(test)]
@@ -722,38 +478,6 @@ mod tests {
     fn build_sample() -> ScanIndex {
         let (g, _) = generators::planted_partition(300, 3, 9.0, 1.0, 4);
         ScanIndex::build(g, IndexConfig::default())
-    }
-
-    /// Re-encode `idx` in format v1 — the exact writer shipped before
-    /// v2 — so the compatibility reader is exercised against real v1 bytes.
-    fn v1_bytes(idx: &ScanIndex) -> Vec<u8> {
-        let g = idx.graph();
-        let (offsets, neighbors, weights) = g.parts();
-        let slots = g.num_slots();
-        let mut buf = Buf(Vec::new());
-        buf.0.extend_from_slice(MAGIC);
-        buf.u32(1);
-        buf.0.push(measure_tag(idx.measure()));
-        buf.0.push(u8::from(weights.is_some()));
-        buf.u64(g.num_vertices() as u64);
-        buf.u64(slots as u64);
-        buf.slice_usize_as_u64(offsets);
-        buf.slice_u32(neighbors);
-        if let Some(ws) = weights {
-            buf.slice_f32(ws);
-        }
-        buf.slice_f32(idx.similarities().as_slice());
-        let (no_nbr, no_sim) = idx.neighbor_order().parts();
-        buf.slice_u32(no_nbr);
-        buf.slice_f32(no_sim);
-        let (co_offsets, co_vertices, co_thresholds) = idx.core_order().parts();
-        buf.u64(co_offsets.len() as u64);
-        buf.slice_usize_as_u64(co_offsets);
-        buf.slice_u32(co_vertices);
-        buf.slice_f32(co_thresholds);
-        let checksum = checksum64(&buf.0);
-        buf.u64(checksum);
-        buf.0
     }
 
     /// Corrupt-and-reseal: apply `f` to the payload, recompute the
@@ -797,24 +521,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_remain_loadable() {
-        let idx = build_sample();
-        let bytes = v1_bytes(&idx);
-        let loaded = ScanIndex::from_snapshot_bytes(&bytes).unwrap();
-        assert_eq!(loaded.graph(), idx.graph());
-        let params = QueryParams::new(3, 0.5);
-        assert_eq!(
-            idx.cluster_with(params, crate::query::BorderAssignment::MostSimilar),
-            loaded.cluster_with(params, crate::query::BorderAssignment::MostSimilar)
-        );
-        // Weighted v1 too.
-        let (g, _) = generators::weighted_planted_partition(120, 2, 7.0, 1.0, 9);
-        let idx = ScanIndex::build(g, IndexConfig::default());
-        let loaded = ScanIndex::from_snapshot_bytes(&v1_bytes(&idx)).unwrap();
-        assert_eq!(loaded.graph(), idx.graph());
-    }
-
-    #[test]
     fn sections_are_aligned_and_tabled() {
         let idx = build_sample();
         let bytes = idx.to_snapshot_bytes();
@@ -829,16 +535,16 @@ mod tests {
     }
 
     #[test]
-    fn breakpoints_round_trip_and_v1_recompute_agree() {
+    fn breakpoints_round_trip_and_recompute_agree() {
         let idx = build_sample();
         let want = idx.similarities().breakpoints().to_vec();
         assert!(want.windows(2).all(|w| w[0] < w[1]));
-        // v2 carries them verbatim...
+        // The snapshot carries them verbatim, and they equal a fresh
+        // derivation from the loaded per-slot similarities.
         let loaded = ScanIndex::from_snapshot_bytes(&idx.to_snapshot_bytes()).unwrap();
         assert_eq!(loaded.similarities().breakpoints(), &want[..]);
-        // ...and a v1 file (no section) recomputes the identical list.
-        let loaded = ScanIndex::from_snapshot_bytes(&v1_bytes(&idx)).unwrap();
-        assert_eq!(loaded.similarities().breakpoints(), &want[..]);
+        let fresh = EdgeSimilarities::from_per_slot(loaded.similarities().as_slice().to_vec());
+        assert_eq!(fresh.breakpoints(), &want[..]);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::dynamic::BatchUpdate;
 use crate::index::{ExactStrategy, IndexConfig, ScanIndex, SortStrategy};
-use crate::query::QueryParams;
+use crate::query::{BorderAssignment, QueryParams};
 use crate::similarity::SimilarityMeasure;
 use parscan_graph::{CsrGraph, VertexId};
 use std::collections::BTreeMap;
@@ -137,15 +137,18 @@ pub fn assert_index_equivalent(actual: &ScanIndex, expected: &ScanIndex, tol: f6
 }
 
 /// Assert that both indexes answer an entire `(μ, ε)` grid with equal
-/// clusterings (labels, roles, cluster counts).
+/// clusterings (labels, roles, cluster counts). Borders attach by the
+/// deterministic `MostSimilar` policy: under `Arbitrary`, a border vertex
+/// next to two clusters joins whichever one's compare-and-swap wins, so
+/// two equal indexes may legitimately label it differently.
 pub fn assert_clusterings_equivalent(actual: &ScanIndex, expected: &ScanIndex) {
     for mu in [2u32, 3, 5] {
         for i in 1..=6 {
             let eps = i as f32 / 7.0;
             let params = QueryParams::new(mu, eps);
             assert_eq!(
-                actual.cluster(params),
-                expected.cluster(params),
+                actual.cluster_with(params, BorderAssignment::MostSimilar),
+                expected.cluster_with(params, BorderAssignment::MostSimilar),
                 "clusterings diverge at (μ={mu}, ε={eps})"
             );
         }

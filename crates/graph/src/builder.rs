@@ -8,7 +8,7 @@
 
 use crate::csr::{CsrGraph, VertexId};
 use parscan_parallel::filter::filter_map_index;
-use parscan_parallel::primitives::{par_for, par_map, reduce};
+use parscan_parallel::primitives::{par_map, reduce};
 use parscan_parallel::radix::par_radix_sort_by_key;
 
 #[derive(Clone, Copy)]
@@ -94,7 +94,8 @@ where
     });
     let weights = weighted.then(|| par_map(deduped.len(), 8192, |i| deduped[i].weight));
 
-    CsrGraph::from_parts_unchecked(offsets, neighbors, weights)
+    CsrGraph::try_from_parts(offsets, neighbors, weights)
+        .expect("sorted, deduplicated, symmetrized entries form a valid CSR graph")
 }
 
 /// Relabel a graph so vertex `v` becomes `perm[v]` (a bijection).
@@ -112,44 +113,6 @@ pub fn relabel(g: &CsrGraph, perm: &[VertexId]) -> CsrGraph {
         let unweighted: Vec<(VertexId, VertexId)> = edges.iter().map(|&(u, v, _)| (u, v)).collect();
         from_edges(n, &unweighted)
     }
-}
-
-/// Extract the canonical edge list `(u, v, w)` with `u < v`.
-pub fn to_edge_list(g: &CsrGraph) -> Vec<(VertexId, VertexId, f32)> {
-    let mut out = Vec::with_capacity(g.num_edges());
-    out.extend(
-        g.canonical_edges()
-            .map(|(u, v, slot)| (u, v, g.slot_weight(slot))),
-    );
-    out
-}
-
-/// Build the subgraph induced by keeping every edge with `pred(u, v)`.
-pub fn filter_edges<P>(g: &CsrGraph, pred: P) -> CsrGraph
-where
-    P: Fn(VertexId, VertexId) -> bool + Sync,
-{
-    let kept: Vec<(VertexId, VertexId, f32)> = to_edge_list(g)
-        .into_iter()
-        .filter(|&(u, v, _)| pred(u, v))
-        .collect();
-    if g.is_weighted() {
-        from_weighted_edges(g.num_vertices(), &kept)
-    } else {
-        let unweighted: Vec<(VertexId, VertexId)> = kept.iter().map(|&(u, v, _)| (u, v)).collect();
-        from_edges(g.num_vertices(), &unweighted)
-    }
-}
-
-/// Parallel histogram of endpoint degrees — used by tests and stats.
-pub fn degree_histogram(g: &CsrGraph) -> Vec<usize> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let max_deg = g.max_degree();
-    let hist: Vec<AtomicUsize> = (0..=max_deg).map(|_| AtomicUsize::new(0)).collect();
-    par_for(g.num_vertices(), 2048, |v| {
-        hist[g.degree(v as VertexId)].fetch_add(1, Ordering::Relaxed);
-    });
-    hist.into_iter().map(|a| a.into_inner()).collect()
 }
 
 #[cfg(test)]
@@ -220,26 +183,5 @@ mod tests {
         assert_eq!(h.num_edges(), 3);
         assert_eq!(h.neighbors(3), &[2]); // old 0-1 becomes 3-2
         assert_eq!(h.neighbors(0), &[1]);
-    }
-
-    #[test]
-    fn filter_edges_keeps_subset() {
-        let g = from_edges(4, &[(0, 1), (1, 2), (2, 3), (0, 3)]);
-        let h = filter_edges(&g, |u, _v| u != 0);
-        assert_eq!(h.num_edges(), 2); // keeps 1-2 and 2-3
-        assert!(h.slot_of(0, 1).is_none());
-        assert!(h.slot_of(1, 2).is_some());
-        assert!(h.slot_of(2, 3).is_some());
-        assert!(h.slot_of(0, 3).is_none());
-    }
-
-    #[test]
-    fn degree_histogram_sums_to_n() {
-        let g = from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4)]);
-        let hist = degree_histogram(&g);
-        assert_eq!(hist.iter().sum::<usize>(), 6);
-        assert_eq!(hist[0], 1); // vertex 5
-        assert_eq!(hist[1], 2); // vertices 3, 4
-        assert_eq!(hist[2], 3); // triangle
     }
 }

@@ -7,8 +7,6 @@
 //! search. Per-edge quantities (similarities) are stored in slot-indexed
 //! arrays of length `2m`.
 
-use parscan_parallel::primitives::par_for;
-
 /// Vertex identifier. `u32` halves the memory traffic of `usize` indices
 /// (a Type-Sizes guideline) and covers every graph this repo targets.
 pub type VertexId = u32;
@@ -29,7 +27,7 @@ pub struct CsrGraph {
 }
 
 /// Validate raw CSR parts and build the twin-slot permutation in one
-/// `O(n + m)` sequential sweep — the deserialization fast path.
+/// `O(n + m)` sequential sweep — the one place twins are built.
 ///
 /// Scanning slots with the owner `u` ascending visits each target `v`'s
 /// mirrored slots in ascending-`u` order too; because neighbor lists are
@@ -104,50 +102,12 @@ fn validate_parts_and_build_twins(
     Ok(twins)
 }
 
-/// Compute the twin-slot permutation for validated CSR parts.
-fn build_twins(offsets: &[usize], neighbors: &[VertexId]) -> Vec<u32> {
-    let slots = neighbors.len();
-    assert!(
-        slots <= u32::MAX as usize,
-        "slot count exceeds u32 index space"
-    );
-    let n = offsets.len() - 1;
-    let mut twins = vec![0u32; slots];
-    let ptr = parscan_parallel::utils::SyncMutPtr::new(&mut twins);
-    par_for(n, 256, |u| {
-        for s in offsets[u]..offsets[u + 1] {
-            let v = neighbors[s] as usize;
-            let vlist = &neighbors[offsets[v]..offsets[v + 1]];
-            let i = vlist
-                .binary_search(&(u as VertexId))
-                .expect("validated graphs are symmetric");
-            // SAFETY: each slot `s` is written by exactly one vertex `u`.
-            unsafe { ptr.write(s, (offsets[v] + i) as u32) };
-        }
-    });
-    twins
-}
-
 impl CsrGraph {
-    /// Assemble a graph from raw CSR parts, validating all invariants.
-    ///
-    /// # Panics
-    /// Panics when the parts do not describe a simple, symmetric,
-    /// sorted-CSR undirected graph.
-    pub fn from_parts(
-        offsets: Vec<usize>,
-        neighbors: Vec<VertexId>,
-        weights: Option<Vec<f32>>,
-    ) -> Self {
-        match Self::try_from_parts(offsets, neighbors, weights) {
-            Ok(g) => g,
-            Err(e) => panic!("invalid CSR graph: {e}"),
-        }
-    }
-
-    /// Assemble a graph from raw CSR parts, returning the validation error
-    /// instead of panicking (used when the parts come from untrusted input,
-    /// e.g. deserialization).
+    /// Assemble a graph from raw CSR parts, validating every invariant and
+    /// building the twin slots in one pass; returns the first violation
+    /// instead of panicking. This is the only way to make a `CsrGraph`
+    /// from parts: the edge-list builder, the edge patcher and both file
+    /// readers (graph `.bin`, index snapshot) all come through here.
     pub fn try_from_parts(
         offsets: Vec<usize>,
         neighbors: Vec<VertexId>,
@@ -160,24 +120,6 @@ impl CsrGraph {
             weights,
             twins,
         })
-    }
-
-    /// Assemble without validation — for internal builders whose output is
-    /// correct by construction (they run `debug_assert!` validation).
-    pub(crate) fn from_parts_unchecked(
-        offsets: Vec<usize>,
-        neighbors: Vec<VertexId>,
-        weights: Option<Vec<f32>>,
-    ) -> Self {
-        let mut g = CsrGraph {
-            offsets,
-            neighbors,
-            weights,
-            twins: Vec::new(),
-        };
-        debug_assert_eq!(g.validate(), Ok(()));
-        g.twins = build_twins(&g.offsets, &g.neighbors);
-        g
     }
 
     /// Number of vertices `n`.
@@ -298,56 +240,16 @@ impl CsrGraph {
     }
 
     /// Check all structural invariants; returns a description on failure.
+    /// Runs the same pass as [`Self::try_from_parts`] and also checks that
+    /// the stored twin slots equal the ones that pass derives.
     pub fn validate(&self) -> Result<(), String> {
-        if self.offsets.is_empty() {
-            return Err("offsets must have length n + 1 >= 1".into());
-        }
-        if self.offsets[0] != 0 || *self.offsets.last().unwrap() != self.neighbors.len() {
-            return Err("offsets must start at 0 and end at slot count".into());
-        }
-        if let Some(w) = &self.weights {
-            if w.len() != self.neighbors.len() {
-                return Err("weights length must match neighbors".into());
-            }
-        }
-        let n = self.num_vertices();
-        for v in 0..n as VertexId {
-            let range = self.slot_range(v);
-            if range.start > range.end {
-                return Err(format!("offsets not monotone at vertex {v}"));
-            }
-            let list = &self.neighbors[range];
-            for (i, &x) in list.iter().enumerate() {
-                if x as usize >= n {
-                    return Err(format!("neighbor {x} of {v} out of range"));
-                }
-                if x == v {
-                    return Err(format!("self-loop at vertex {v}"));
-                }
-                if i > 0 && list[i - 1] >= x {
-                    return Err(format!("neighbors of {v} not strictly sorted"));
-                }
-            }
-        }
-        // Symmetry (and weight symmetry).
-        for v in 0..n as VertexId {
-            let range = self.slot_range(v);
-            for s in range {
-                let x = self.neighbors[s];
-                match self.slot_of(x, v) {
-                    None => return Err(format!("edge ({v},{x}) missing twin")),
-                    Some(t) => {
-                        if let Some(w) = &self.weights {
-                            if (w[s] - w[t]).abs() > 1e-6 {
-                                return Err(format!("asymmetric weight on ({v},{x})"));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if !self.neighbors.len().is_multiple_of(2) {
-            return Err("odd number of slots".into());
+        let twins = validate_parts_and_build_twins(
+            &self.offsets,
+            &self.neighbors,
+            self.weights.as_deref(),
+        )?;
+        if twins != self.twins {
+            return Err("stored twin slots disagree with the neighbor lists".into());
         }
         Ok(())
     }
@@ -376,16 +278,6 @@ impl CsrGraph {
         })
     }
 
-    /// A copy of this graph with weights dropped.
-    pub fn unweighted_copy(&self) -> CsrGraph {
-        CsrGraph {
-            offsets: self.offsets.clone(),
-            neighbors: self.neighbors.clone(),
-            weights: None,
-            twins: self.twins.clone(),
-        }
-    }
-
     /// Raw parts accessor (offsets, neighbors, weights).
     pub fn parts(&self) -> (&[usize], &[VertexId], Option<&[f32]>) {
         (&self.offsets, &self.neighbors, self.weights.as_deref())
@@ -402,21 +294,17 @@ impl CsrGraph {
     }
 }
 
-/// Convenience: run `f(v)` for every vertex in parallel.
-pub fn par_for_vertices<F>(g: &CsrGraph, f: F)
-where
-    F: Fn(VertexId) + Sync,
-{
-    par_for(g.num_vertices(), 256, |v| f(v as VertexId));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn from_parts(offsets: Vec<usize>, neighbors: Vec<VertexId>, w: Option<Vec<f32>>) -> CsrGraph {
+        CsrGraph::try_from_parts(offsets, neighbors, w).expect("invalid CSR graph")
+    }
+
     fn triangle() -> CsrGraph {
         // 0-1, 1-2, 0-2
-        CsrGraph::from_parts(vec![0, 2, 4, 6], vec![1, 2, 0, 2, 0, 1], None)
+        from_parts(vec![0, 2, 4, 6], vec![1, 2, 0, 2, 0, 1], None)
     }
 
     #[test]
@@ -464,31 +352,42 @@ mod tests {
     fn closed_norms() {
         let g = triangle();
         assert_eq!(g.closed_norm_sq(0), 3.0); // 1 + deg
-        let w = CsrGraph::from_parts(vec![0, 1, 2], vec![1, 0], Some(vec![0.5, 0.5]));
+        let w = from_parts(vec![0, 1, 2], vec![1, 0], Some(vec![0.5, 0.5]));
         assert!((w.closed_norm_sq(0) - 1.25).abs() < 1e-9);
     }
 
     #[test]
-    #[should_panic(expected = "invalid CSR graph")]
+    #[should_panic(expected = "self-loop at vertex 0")]
     fn rejects_self_loop() {
-        CsrGraph::from_parts(vec![0, 1, 2], vec![0, 0], None);
+        from_parts(vec![0, 1, 2], vec![0, 0], None);
     }
 
     #[test]
-    #[should_panic(expected = "invalid CSR graph")]
+    #[should_panic(expected = "edge (1,0) missing twin")]
     fn rejects_asymmetric() {
-        CsrGraph::from_parts(vec![0, 1, 1], vec![1], None);
+        // 0 lists 1, but 1 lists only 2.
+        from_parts(vec![0, 1, 2, 2], vec![1, 2], None);
     }
 
     #[test]
-    #[should_panic(expected = "invalid CSR graph")]
+    fn rejects_odd_slot_count_and_stale_twins() {
+        let err = CsrGraph::try_from_parts(vec![0, 1, 1], vec![1], None).unwrap_err();
+        assert!(err.contains("odd number of slots"), "{err}");
+        let mut g = triangle();
+        assert_eq!(g.validate(), Ok(()));
+        g.twins.swap(0, 1);
+        assert!(g.validate().unwrap_err().contains("twin"));
+    }
+
+    #[test]
+    #[should_panic(expected = "neighbors of 0 not strictly sorted")]
     fn rejects_unsorted_neighbors() {
-        CsrGraph::from_parts(vec![0, 2, 3, 4], vec![2, 1, 0, 0], None);
+        from_parts(vec![0, 2, 3, 4], vec![2, 1, 0, 0], None);
     }
 
     #[test]
     fn empty_graph() {
-        let g = CsrGraph::from_parts(vec![0], vec![], None);
+        let g = from_parts(vec![0], vec![], None);
         assert_eq!(g.num_vertices(), 0);
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.max_degree(), 0);
@@ -496,7 +395,7 @@ mod tests {
 
     #[test]
     fn isolated_vertices() {
-        let g = CsrGraph::from_parts(vec![0, 0, 1, 2, 2, 2], vec![2, 1], None);
+        let g = from_parts(vec![0, 0, 1, 2, 2, 2], vec![2, 1], None);
         assert_eq!(g.num_vertices(), 5);
         assert_eq!(g.degree(0), 0);
         assert_eq!(g.degree(1), 1);

@@ -2,17 +2,28 @@
 //! dumps, which the paper's datasets ship as) and a compact little-endian
 //! binary format for fast reload of generated benchmark inputs.
 //!
-//! Binary layout (all little-endian):
+//! Binary layout (all little-endian, arrays through [`crate::codec`]):
 //! `magic "PSCG" | version u32 | weighted u8 | n u64 | slots u64 |
 //!  offsets (n+1)×u64 | neighbors slots×u32 | [weights slots×f32]`
+//!
+//! The header fixes the file length exactly: a binary graph file is
+//! `25 + (n+1)·8 + slots·4·(1 + weighted)` bytes long. [`read_binary`]
+//! rejects any file of another length (computed with checked arithmetic)
+//! before it allocates anything sized from the header, so a header that
+//! claims a huge graph costs nothing. The parts then go through
+//! [`CsrGraph::try_from_parts`], so every structural defect is an
+//! `InvalidData` error too.
 
+use crate::codec;
 use crate::csr::{CsrGraph, VertexId};
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"PSCG";
 const VERSION: u32 = 1;
+/// Byte length of the header (magic, version, weighted flag, n, slots).
+const HEADER_BYTES: usize = 25;
 
 /// Read a graph file, choosing the reader by extension: `.bin` is the
 /// binary format, `.graph`/`.metis` METIS, anything else a whitespace
@@ -73,10 +84,12 @@ pub fn read_edge_list_text<P: AsRef<Path>>(path: P, n_hint: Option<usize>) -> io
                     }
                     None => 1.0,
                 };
-                max_id = max_id.max(u).max(v);
-                if u > u32::MAX as u64 || v > u32::MAX as u64 {
+                // Ids index `0..n` with `n = max id + 1` a `u32` too, so
+                // `u32::MAX` itself is out of range.
+                if u >= u32::MAX as u64 || v >= u32::MAX as u64 {
                     return Err(bad_data(format!("vertex id too large in line {t:?}")));
                 }
+                max_id = max_id.max(u).max(v);
                 edges.push((u as VertexId, v as VertexId, w));
             }
         }
@@ -108,77 +121,62 @@ fn bad_data(msg: String) -> io::Error {
 
 /// Write the binary format.
 pub fn write_binary<P: AsRef<Path>>(g: &CsrGraph, path: P) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
     let (offsets, neighbors, weights) = g.parts();
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&[u8::from(weights.is_some())])?;
-    w.write_all(&(g.num_vertices() as u64).to_le_bytes())?;
-    w.write_all(&(neighbors.len() as u64).to_le_bytes())?;
-    for &o in offsets {
-        w.write_all(&(o as u64).to_le_bytes())?;
-    }
-    for &x in neighbors {
-        w.write_all(&x.to_le_bytes())?;
-    }
+    let mut out = Vec::with_capacity(
+        HEADER_BYTES
+            + offsets.len() * 8
+            + neighbors.len() * 4 * (1 + usize::from(weights.is_some())),
+    );
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.push(u8::from(weights.is_some()));
+    out.extend_from_slice(&(g.num_vertices() as u64).to_le_bytes());
+    out.extend_from_slice(&(neighbors.len() as u64).to_le_bytes());
+    codec::encode_usizes(&mut out, offsets);
+    codec::encode_u32s(&mut out, neighbors);
     if let Some(ws) = weights {
-        for &x in ws {
-            w.write_all(&x.to_le_bytes())?;
-        }
+        codec::encode_f32s(&mut out, ws);
     }
-    w.flush()
+    std::fs::write(path, out)
 }
 
-/// Read the binary format, validating structure.
+/// Read the binary format: one read of the whole file, the exact-length
+/// check (see the module docs), one bulk decode per array, then the
+/// validating constructor.
 pub fn read_binary<P: AsRef<Path>>(path: P) -> io::Result<CsrGraph> {
-    let mut r = BufReader::new(File::open(path)?);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
+    let bytes = std::fs::read(path)?;
+    if bytes.len() < HEADER_BYTES || &bytes[..4] != MAGIC {
         return Err(bad_data("not a parscan binary graph".into()));
     }
-    let version = read_u32(&mut r)?;
+    let version = codec::u32_at(&bytes, 4);
     if version != VERSION {
         return Err(bad_data(format!("unsupported version {version}")));
     }
-    let mut flag = [0u8; 1];
-    r.read_exact(&mut flag)?;
-    let weighted = flag[0] != 0;
-    let n = read_u64(&mut r)? as usize;
-    let slots = read_u64(&mut r)? as usize;
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        offsets.push(read_u64(&mut r)? as usize);
+    let weighted = bytes[8] != 0;
+    let n = codec::u64_at(&bytes, 9);
+    let slots = codec::u64_at(&bytes, 17);
+    let offsets_len = n.checked_add(1).and_then(|x| x.checked_mul(8));
+    let slot_len = slots.checked_mul(4 * (1 + u64::from(weighted)));
+    let expected = offsets_len
+        .zip(slot_len)
+        .and_then(|(a, b)| a.checked_add(b))
+        .and_then(|x| x.checked_add(HEADER_BYTES as u64));
+    if expected != Some(bytes.len() as u64) {
+        return Err(bad_data(format!(
+            "header claims n = {n} and {slots} slots, which does not match the file length {}",
+            bytes.len()
+        )));
     }
-    let mut neighbors = Vec::with_capacity(slots);
-    for _ in 0..slots {
-        neighbors.push(read_u32(&mut r)?);
-    }
-    let weights = if weighted {
-        let mut ws = Vec::with_capacity(slots);
-        for _ in 0..slots {
-            let mut b = [0u8; 4];
-            r.read_exact(&mut b)?;
-            ws.push(f32::from_le_bytes(b));
-        }
-        Some(ws)
-    } else {
-        None
-    };
-    let g = CsrGraph::from_parts(offsets, neighbors, weights);
-    Ok(g)
-}
-
-fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
+    // The length matched, so both counts fit the file and hence `usize`.
+    let (n, slots) = (n as usize, slots as usize);
+    let neighbors_at = HEADER_BYTES + (n + 1) * 8;
+    let weights_at = neighbors_at + slots * 4;
+    let offsets = codec::decode_usizes(&bytes[HEADER_BYTES..neighbors_at]);
+    let neighbors = codec::decode_u32s(&bytes[neighbors_at..weights_at]);
+    let weights = weighted.then(|| codec::decode_f32s(&bytes[weights_at..]));
+    drop(bytes);
+    CsrGraph::try_from_parts(offsets, neighbors, weights)
+        .map_err(|e| bad_data(format!("invalid graph in binary file: {e}")))
 }
 
 #[cfg(test)]

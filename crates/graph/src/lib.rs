@@ -8,6 +8,7 @@
 //! assumption that vertex ids are integers in `[1, n]` (we use `[0, n)`).
 
 pub mod builder;
+pub mod codec;
 pub mod csr;
 pub mod directed;
 pub mod generators;

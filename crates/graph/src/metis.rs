@@ -97,8 +97,10 @@ pub fn read_metis<P: AsRef<Path>>(path: P) -> io::Result<CsrGraph> {
         return Err(bad(format!("vertex count {n} exceeds u32 ids")));
     }
 
-    // Adjacency lines: one per vertex, in order, skipping comments.
-    let mut directed: Vec<(VertexId, VertexId, f32)> = Vec::with_capacity(2 * m);
+    // Adjacency lines: one per vertex, in order, skipping comments. The
+    // entry list grows with the lines actually read, never from the
+    // header's edge count, which is only checked at the end.
+    let mut directed: Vec<(VertexId, VertexId, f32)> = Vec::new();
     let mut v: usize = 0;
     for line in lines {
         let line = line?;

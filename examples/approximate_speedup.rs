@@ -35,7 +35,6 @@ fn main() {
             samples: k,
             seed: 100 + k as u64,
             degree_heuristic: true,
-            ..Default::default()
         };
         let t0 = Instant::now();
         let index = build_approx_index(g.clone(), config);

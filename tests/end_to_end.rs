@@ -73,7 +73,6 @@ fn approximate_pipeline_end_to_end() {
             samples: 256,
             seed: 9,
             degree_heuristic: true,
-            ..Default::default()
         },
     );
     let c = index.cluster_with(QueryParams::new(3, 0.5), BorderAssignment::MostSimilar);

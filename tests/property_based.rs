@@ -195,7 +195,6 @@ proptest! {
             samples: 4096,
             seed: 1,
             degree_heuristic: true,
-            ..Default::default()
         };
         let exact = compute_full_merge(&g, SimilarityMeasure::Cosine);
         let approx = parscan::approx::approx_index::approx_similarities(&g, &config);
